@@ -191,12 +191,12 @@ def _scan_request(args) -> scan.ScanRequest:
         mode=args.mode,
         checkpoints=checkpoints,
         include_gap_one=not args.exclude_gap_one,
+        min_prime_count=args.at_least,
     )
     if args.mode == scan.MODE_TRANSLATES:
         if args.tuple_file is None:
             raise ValueError("tuple-translates mode requires --tuple-file")
         kwargs["tuple"] = load_tuples(args.tuple_file)[0]
-        kwargs["min_prime_count"] = args.at_least
     else:
         if args.y is None:
             raise ValueError(f"{args.mode} mode requires --y")

@@ -15,10 +15,25 @@ import numpy as np
 from ._sieve import SCAN_LIMIT, base_prime_flags, prime_flags, prime_flags_range
 from .constants import hl_prediction
 from .errors import CapacityError
+from .primes import mem_budget
 from .smoothness import is_smooth, smooth_numbers_up_to
 from .tuples import IntegerTuple, diameter, is_admissible
 
 MAX_WITNESSES = 100
+
+# Peak RSS growth of one numpy rfft/irfft autocorrelation, in bytes per
+# transform point: the float input, the spectrum, the output and pocketfft's
+# scratch buffers (tracemalloc sees only half, as the scratch bypasses
+# numpy's allocator).
+FFT_BYTES_PER_POINT = 32
+# Largest tolerated distance of an autocorrelation value from an integer.
+FFT_ROUNDOFF_GUARD = 0.25
+# Time of one point-times-log2-length step of the FFT autocorrelation over
+# one byte of the per-gap AND-and-count, measured with numpy 2 on x86-64
+# (about 4 ns against 0.17 ns).
+FFT_COST_PER_BYTE = 24
+# Bytes of the flag table that the per-gap kernel ANDs in one numpy call.
+PER_GAP_BLOCK = 1 << 20
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -48,12 +63,24 @@ class ScanRequest:
                 raise ValueError(f"mode {self.mode!r} takes y and no tuple")
             if self.y < 2:
                 raise ValueError(f"y must be at least 2, got {self.y}")
+            if self.min_prime_count is not None:
+                raise ValueError(
+                    f"min_prime_count (--at-least) applies to {MODE_TRANSLATES!r} "
+                    f"mode only, not {self.mode!r}"
+                )
         elif self.mode == MODE_TRANSLATES:
             if self.tuple is None or self.y is not None:
                 raise ValueError(f"mode {self.mode!r} takes a tuple and no y")
+            if not self.include_gap_one:
+                raise ValueError(
+                    "include_gap_one=False (--exclude-gap-one) applies to the "
+                    f"pair modes only, not {self.mode!r}"
+                )
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
         cps = self.checkpoints or (self.x_max,)
+        if min(cps) < 1:
+            raise ValueError(f"checkpoints must be positive: {cps}")
         if any(a >= b for a, b in zip(cps, cps[1:])):
             raise ValueError(f"checkpoints must be ascending: {cps}")
         if cps[-1] != self.x_max:
@@ -109,35 +136,123 @@ def _counts_from_positions(positions: np.ndarray, checkpoints, strict: bool):
     return np.searchsorted(positions, np.asarray(checkpoints), side=side)
 
 
+def _fft_length(n: int) -> int:
+    """Power-of-two transform length for the linear autocorrelation of n
+    points: at least 2n - 1, so no lag wraps round. 0 when n < 2, where
+    there is no nonzero lag."""
+    return 1 << (2 * n - 2).bit_length() if n >= 2 else 0
+
+
+def _autocorrelation_sum(indicator: np.ndarray, lags: np.ndarray) -> int:
+    """Sum over the given lags j >= 1 of #{t : indicator[t] and indicator[t + j]},
+    exactly, from one FFT autocorrelation."""
+    if not len(lags):
+        return 0
+    size = _fft_length(len(indicator))
+    spectrum = np.fft.rfft(indicator, size)
+    np.multiply(spectrum, spectrum.conj(), out=spectrum)
+    values = np.fft.irfft(spectrum, size)[lags]
+    counts = np.rint(values)
+    roundoff = float(np.max(np.abs(values - counts)))
+    if roundoff >= FFT_ROUNDOFF_GUARD:
+        raise FloatingPointError(
+            f"autocorrelation of length {size} is {roundoff} away from an integer"
+        )
+    return int(counts.astype(np.int64).sum())
+
+
+def _fft_pair_counts(flags: np.ndarray, gaps: list[int], checkpoints) -> list[int]:
+    """Pair counts at each checkpoint from one FFT autocorrelation of the
+    odd-only prime indicator per checkpoint prefix (index t stands for
+    2t + 1): the even gaps 2j are lag j. A pair with an odd gap s has
+    q = 2, so those are the pairs (2, 2 + s)."""
+    gap_array = np.asarray(gaps, dtype=np.int64)
+    even_lags = gap_array[gap_array % 2 == 0] // 2
+    odd_gaps = gap_array[gap_array % 2 == 1]
+    counts = []
+    for c in checkpoints:
+        indicator = flags[1 : c + 1 : 2]
+        count = _autocorrelation_sum(indicator, even_lags[even_lags < len(indicator)])
+        count += int(np.count_nonzero(flags[2 + odd_gaps[odd_gaps <= c - 2]]))
+        counts.append(count)
+    return counts
+
+
+def _per_gap_pair_counts(
+    flags: np.ndarray, gaps: list[int], checkpoints, threads: int = 1
+) -> list[int]:
+    """Pair counts at each checkpoint from one AND of the flag table with
+    itself shifted by s, per gap s, in PER_GAP_BLOCK-byte blocks: O(x) per
+    gap and one block buffer per worker thread beyond the flag table."""
+    edges = [c + 1 for c in checkpoints]
+
+    def count_gap(s: int) -> np.ndarray:
+        buf = np.empty(min(PER_GAP_BLOCK, len(flags)), dtype=bool)
+        counts = np.zeros(len(edges), dtype=np.int64)
+        total, lo = 0, s
+        for i, hi in enumerate(edges):
+            for a in range(lo, hi, len(buf)):
+                b = min(a + len(buf), hi)
+                both = np.logical_and(flags[a:b], flags[a - s : b - s], out=buf[: b - a])
+                total += int(np.count_nonzero(both))
+            lo = max(lo, hi)
+            counts[i] = total
+        return counts
+
+    if threads <= 1:
+        partials = [count_gap(s) for s in gaps]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(count_gap, gaps))
+    return [int(n) for n in sum(partials, np.zeros(len(edges), dtype=np.int64))]
+
+
+def _fft_is_cheaper(x: int, gaps: list[int], checkpoints) -> bool:
+    """Whether the FFT kernel fits mem_budget() and its estimated time is
+    below the per-gap kernel's."""
+    largest = _fft_length((x + 1) // 2)
+    if x + 1 + FFT_BYTES_PER_POINT * largest > mem_budget():
+        return False
+    sizes = [_fft_length((c + 1) // 2) for c in checkpoints]
+    fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
+    return fft_cost < sum(x + 1 - s for s in gaps)
+
+
 def count_smooth_gap_pairs(
     req: ScanRequest,
     segment_size: int | None = None,
     threads: int = 1,
 ) -> ScanReport:
-    """Ordered pairs of primes p > q <= checkpoint with p - q y-smooth.
+    """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
-    Iterates smooth offsets against a prime bitset rather than all prime
-    pairs, so the work is O(pi(x) * |smooth gaps|).
+    Two exact kernels, chosen per request by estimated time within the
+    memory budget; both give the same counts.
+
+    _fft_pair_counts: one transform of length _fft_length((c + 1) // 2), in
+    [c, 2c), per checkpoint c, O(c log c) each. That totals about 1.1 times
+    the largest transform for checkpoints a factor of 10 apart, and up to
+    len(checkpoints) times it when many checkpoints sit near x. It needs
+    FFT_BYTES_PER_POINT bytes per point of the largest transform besides
+    the (x + 1)-byte flag table, so under the default 4 GB budget it runs
+    only for x <= 2^26 = 67,108,864. It reads no `threads`.
+
+    _per_gap_pair_counts: O(x) per smooth gap, O(x * Psi(x, y)) in all, on
+    `threads` worker threads, in no memory beyond the flag table and a
+    block buffer per thread. It takes the requests the transform does not
+    fit, so pairs mode is bounded in x only by the flag table (x + 1 <=
+    mem_budget()), and those with few smooth gaps, such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
-    flags = prime_flags(req.x_max, segment_size)
-    gaps = _gap_values(req, req.x_max - 2) if req.x_max > 2 else []
-    checkpoints = req.checkpoints
-    totals = np.zeros(len(checkpoints), dtype=np.int64)
-
-    def count_gap(s: int) -> np.ndarray:
-        # p runs over primes with p - s also prime
-        hits = np.flatnonzero(flags[s:] & flags[: len(flags) - s]) + s
-        return _counts_from_positions(hits, checkpoints, strict=False)
-
-    for partial in _map_ordered(count_gap, gaps, threads):
-        totals += partial
-    witnesses = _pair_witnesses(flags, gaps)
-    records = tuple(
-        CheckpointRecord(c, int(n)) for c, n in zip(checkpoints, totals)
-    )
-    return ScanReport(req, records, witnesses)
+    x = req.x_max
+    gaps = _gap_values(req, x - 2) if x > 2 else []
+    flags = prime_flags(x, segment_size)
+    if _fft_is_cheaper(x, gaps, req.checkpoints):
+        counts = _fft_pair_counts(flags, gaps, req.checkpoints)
+    else:
+        counts = _per_gap_pair_counts(flags, gaps, req.checkpoints, threads)
+    records = tuple(CheckpointRecord(c, n) for c, n in zip(req.checkpoints, counts))
+    return ScanReport(req, records, _pair_witnesses(flags, gaps))
 
 
 def count_consecutive_smooth_gap_pairs(
@@ -227,13 +342,6 @@ def run_scan(
     if req.mode == MODE_CONSECUTIVE:
         return count_consecutive_smooth_gap_pairs(req, segment_size, threads)
     return count_tuple_translates(req, segment_size, threads)
-
-
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) < 2:
-        return [fn(s) for s in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _pair_witnesses(flags: np.ndarray, gaps: list[int]):

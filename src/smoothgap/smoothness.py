@@ -118,15 +118,26 @@ def smooth_numbers_up_to(y: int, bound: int) -> list[int]:
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     cap = mem_budget() // 8
+    primes = _primes_leq(y)
     out = [1]
-    for p in _primes_leq(y):
-        ext = []
-        for v in out:
+    # Depth-first over factorizations by increasing prime: every smooth
+    # number is reached once, and each node stops at its first prime that
+    # overshoots, so the work is linear in the output. A node w whose
+    # largest prime p has w * p > bound cannot extend by a larger prime and
+    # is not pushed.
+    stack = [(1, 0)]
+    while stack:
+        v, start = stack.pop()
+        for i in range(start, len(primes)):
+            p = primes[i]
             w = v * p
+            if w > bound:
+                break
             while w <= bound:
-                ext.append(w)
+                out.append(w)
+                if w * p <= bound:
+                    stack.append((w, i + 1))
                 w *= p
-        out.extend(ext)
         if len(out) > cap:
             raise CapacityError(f"smooth enumeration exceeds {cap} elements")
     out.sort()

@@ -207,6 +207,39 @@ def test_scan_capacity_exit(capsys, monkeypatch):
     assert err
 
 
+def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
+    args = ("scan", "pairs", "100000", "--y", "47", "--checkpoints", "1000,100000")
+    code, reference, _ = invoke(capsys, *args)
+    assert code == EXIT_OK
+    # enough for the flag table, too little for the transform buffers
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**6))
+    code, out, _ = invoke(capsys, *args, "--threads", "2")
+    assert code == EXIT_OK
+    assert out == reference
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**5))
+    code, out, err = invoke(capsys, *args)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pairs", "100", "--at-least", "2"),
+        ("consecutive-pairs", "100", "--at-least", "2"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--exclude-gap-one"),
+        ("pairs", "100", "--checkpoints", "0,100"),
+        ("consecutive-pairs", "100", "--checkpoints=-5,100"),
+    ],
+)
+def test_scan_rejects_ignored_flags(capsys, argv):
+    code, out, err = invoke(capsys, "scan", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_km_table(capsys):
     code, out, _ = invoke(capsys, "constants", "--km-table")
     assert code == EXIT_OK

@@ -6,6 +6,7 @@ import pytest
 from smoothgap.constants import (
     hl_prediction,
     km_table,
+    log_power_integral,
     singular_series,
 )
 from smoothgap.tuples import IntegerTuple
@@ -97,6 +98,52 @@ def test_hl_prediction_modes():
     g = singular_series(TWIN, 10**6).value
     assert ratio == pytest.approx(g * 1e7 / math.log(1e7) ** 2, rel=1e-12)
     assert integral == pytest.approx(58754, rel=1e-3)
+
+
+# int_2^x dt / log(t)^k from mpmath at 40 digits, quadrature split at powers of ten
+LOG_POWER_INTEGRALS = [
+    (1, 3, 1.1184248145496992),
+    (1, 10**3, 176.56449421003473),
+    (1, 10**7, 664917.35988478879),
+    (1, 10**12, 37607950279.759702),
+    (2, 3, 1.2730972164471138),
+    (2, 10**3, 34.685056990728718),
+    (2, 10**7, 44499.556841653676),
+    (2, 10**12, 1416743457.3741062),
+    (3, 3, 1.4751144146938301),
+    (3, 10**3, 8.9454698646136375),
+    (3, 10**7, 3005.768258010504),
+    (3, 10**12, 53470005.03365147),
+    (6, 3, 2.542254845606524),
+    (6, 10**3, 3.0971124586946538),
+    (6, 10**7, 4.0804222053186961),
+    (6, 10**12, 2916.5839684883927),
+    (8, 3, 3.9440608293547393),
+    (8, 10**3, 4.2193652243651954),
+    (8, 10**7, 4.2245530116722866),
+    (8, 10**12, 8.4688350302703467),
+]
+
+
+@pytest.mark.parametrize("k, x, expected", LOG_POWER_INTEGRALS)
+def test_log_power_integral_frozen_reference(k, x, expected):
+    assert log_power_integral(k, float(x)) == pytest.approx(expected, rel=5e-13)
+
+
+def test_log_power_integral_live_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for k in range(1, 9):
+            for x in (2.001, 3.5, 57.3, 1e4, 123456.7, 1e9, 1e11, 1e12):
+                decades = [10**e for e in range(1, int(math.log10(x)) + 1) if 10**e < x]
+                points = [2] + decades + [x]
+                expected = float(mpmath.quad(lambda t: mpmath.log(t) ** -k, points))
+                assert log_power_integral(k, x) == pytest.approx(expected, rel=5e-13)
+
+
+def test_hl_prediction_integral_form_is_series_times_integral():
+    g = singular_series(TWIN, 10**6).value
+    assert hl_prediction(TWIN, 1e12) == g * log_power_integral(2, 1e12)
 
 
 def test_hl_prediction_non_admissible_is_zero():

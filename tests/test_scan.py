@@ -1,9 +1,15 @@
+import numpy as np
 import pytest
 
 from smoothgap.cli import scan_report_json
 from smoothgap.errors import CapacityError
+from smoothgap._sieve import prime_flags
 from smoothgap.scan import (
+    FFT_BYTES_PER_POINT,
     ScanRequest,
+    _fft_pair_counts,
+    _gap_values,
+    _per_gap_pair_counts,
     count_consecutive_smooth_gap_pairs,
     count_smooth_gap_pairs,
     count_tuple_translates,
@@ -16,6 +22,7 @@ from tests.oracles import (
     brute_consecutive_count,
     brute_pair_count,
     brute_translate_count,
+    simple_sieve,
     trial_primes,
 )
 
@@ -57,6 +64,21 @@ def test_request_validation():
         ScanRequest(x_max=10**12 + 1, mode="pairs", y=2)
 
 
+def test_request_rejects_ignored_fields():
+    with pytest.raises(ValueError):
+        ScanRequest(x_max=10, mode="pairs", y=2, min_prime_count=2)
+    with pytest.raises(ValueError):
+        ScanRequest(x_max=10, mode="consecutive-pairs", y=2, min_prime_count=2)
+    with pytest.raises(ValueError):
+        ScanRequest(
+            x_max=10, mode="tuple-translates", tuple=IntegerTuple((0, 2)),
+            include_gap_one=False,
+        )
+    for checkpoints in ((0, 10), (-3, 10)):
+        with pytest.raises(ValueError):
+            ScanRequest(x_max=10, mode="pairs", y=2, checkpoints=checkpoints)
+
+
 def test_pairs_hand_examples():
     assert run_scan(ScanRequest(10, "pairs", y=2)).records[0].count == 4
     assert (
@@ -86,6 +108,93 @@ def test_pairs_match_oracle(y, gap_one):
     assert count_smooth_gap_pairs(req).records[0].count == brute_pair_count(
         2000, y, gap_one
     )
+
+
+@pytest.mark.parametrize(
+    "x, y, checkpoints, gap_one",
+    [
+        (1, 2, (1,), True),
+        (2, 47, (1, 2), True),
+        (3, 2, (1, 2, 3), True),
+        (3, 2, (2, 3), False),
+        (4, 3, (1, 2, 3, 4), True),
+        (4, 47, (4,), False),
+        (5, 5, (1, 2, 5), True),
+        (1500, 7, (1, 2, 97, 1024, 1500), False),
+        (1500, 47, (2, 3, 1499, 1500), True),
+    ],
+)
+def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one):
+    req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one)
+    expected = [brute_pair_count(c, y, gap_one) for c in checkpoints]
+    assert [r.count for r in count_smooth_gap_pairs(req).records] == expected
+    flags = prime_flags(x)
+    gaps = _gap_values(req, x - 2) if x > 2 else []
+    assert _fft_pair_counts(flags, gaps, checkpoints) == expected
+    for threads in (1, 3):
+        assert _per_gap_pair_counts(flags, gaps, checkpoints, threads) == expected
+
+
+def test_pairs_kernels_agree_across_blocks(monkeypatch):
+    # blocks smaller than the gaps and not aligned with the checkpoints
+    monkeypatch.setattr("smoothgap.scan.PER_GAP_BLOCK", 37)
+    req = ScanRequest(5000, "pairs", y=7, checkpoints=(30, 31, 1000, 4999, 5000))
+    flags = prime_flags(req.x_max)
+    gaps = _gap_values(req, req.x_max - 2)
+    expected = _fft_pair_counts(flags, gaps, req.checkpoints)
+    for threads in (1, 2, 4):
+        assert _per_gap_pair_counts(flags, gaps, req.checkpoints, threads) == expected
+
+
+def test_pairs_all_gaps_smooth_is_binomial():
+    # with y >= x every gap is smooth, so every pair of primes counts
+    x = 2 * 10**5
+    flags = simple_sieve(x)
+    pi = [sum(flags[: c + 1]) for c in (1000, x)]
+    assert pi == [168, 17984]
+    report = count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x, checkpoints=(1000, x)))
+    assert [r.count for r in report.records] == [n * (n - 1) // 2 for n in pi]
+
+
+def test_pairs_roundoff_guard(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    req = ScanRequest(1000, "pairs", y=5)
+    with pytest.raises(FloatingPointError):
+        _fft_pair_counts(prime_flags(1000), _gap_values(req, 998), (1000,))
+
+
+def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
+    # y = 47 has enough gaps that the transform is chosen when it fits
+    x = 10**5
+    req = ScanRequest(x, "pairs", y=47, checkpoints=(1000, x))
+    reference = scan_report_json(count_smooth_gap_pairs(req))
+    calls = []
+    monkeypatch.setattr(
+        "smoothgap.scan._fft_pair_counts", lambda *a: calls.append(a) or [0, 0]
+    )
+    need = x + 1 + FFT_BYTES_PER_POINT * 2**17  # transform length 2^17 >= x
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need))
+    count_smooth_gap_pairs(req)
+    assert len(calls) == 1
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need - 1))
+    assert scan_report_json(count_smooth_gap_pairs(req)) == reference
+    assert len(calls) == 1
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(x))  # flag table over budget
+    with pytest.raises(CapacityError):
+        count_smooth_gap_pairs(req)
+
+
+def test_pairs_few_gaps_take_per_gap_kernel(monkeypatch):
+    monkeypatch.setattr("smoothgap.scan._fft_pair_counts", None)
+    x = 10**6
+    flags = simple_sieve(x)
+    primes = [p for p in range(x + 1) if flags[p]]
+    expected = sum(
+        flags[q + 2**e] for e in range(20) for q in primes if q + 2**e <= x
+    )
+    report = count_smooth_gap_pairs(ScanRequest(x, "pairs", y=2))
+    assert report.records[0].count == expected
 
 
 @pytest.mark.parametrize("y", [2, 3, 5, 47])
