@@ -22,7 +22,6 @@ from .scan import (
     count_smooth_gap_pairs,
     count_tuple_translates,
     run_scan,
-    segmented_sieve,
 )
 from .smoothness import (
     SmoothnessCertificate,
@@ -82,7 +81,6 @@ __all__ = [
     "run_scan",
     "search_min_diameter_admissible",
     "search_min_diameter_difference_smooth",
-    "segmented_sieve",
     "sieve_primes",
     "singular_series",
     "smooth_numbers_up_to",

@@ -1,54 +1,29 @@
-"""Internal numpy sieve helpers shared by the constants and scan modules."""
+"""The package's one sieve, and the allocation budget that bounds it."""
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from .errors import CapacityError
-from .primes import mem_budget
 
 SCAN_LIMIT = 10**12  # desk-scale hard guard
 
+_DEFAULT_MEM_BUDGET = 4_000_000_000
 
-def base_prime_flags(limit: int) -> np.ndarray:
+
+def mem_budget() -> int:
+    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET."""
+    raw = os.environ.get("SMOOTHGAP_MEM_BUDGET")
+    if raw is None:
+        return _DEFAULT_MEM_BUDGET
+    return int(raw)
+
+
+def prime_flags(limit: int) -> np.ndarray:
     """Boolean array b with b[n] true iff n prime, for n in [0, limit]."""
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit + 1 > mem_budget():
-        raise CapacityError(
-            f"prime flags to {limit} need {limit + 1} bytes, over budget {mem_budget()}"
-        )
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
-def prime_flags_range(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Boolean flags for [lo, hi) given base prime flags covering sqrt(hi)."""
-    n = hi - lo
-    flags = np.ones(n, dtype=bool)
-    for i in range(max(lo, 0), min(2, hi)):
-        flags[i - lo] = False
-    for p in np.flatnonzero(base):
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            flags[start - lo :: p] = False
-    return flags
-
-
-def prime_flags(limit: int, segment_size: int | None = None) -> np.ndarray:
-    """Full boolean prime table to `limit`, filled segment by segment.
-
-    The output is independent of segment_size.
-    """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if limit > SCAN_LIMIT:
@@ -57,12 +32,11 @@ def prime_flags(limit: int, segment_size: int | None = None) -> np.ndarray:
         raise CapacityError(
             f"prime flags to {limit} need {limit + 1} bytes, over budget {mem_budget()}"
         )
-    root = math.isqrt(limit) + 1
-    base = base_prime_flags(root)
-    if segment_size is None:
-        segment_size = max(root, 1 << 16)
-    out = np.zeros(limit + 1, dtype=bool)
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        out[lo:hi] = prime_flags_range(lo, hi, base)
-    return out
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    flags[4::2] = False
+    # the even multiples of an odd p are already struck
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = False
+    return flags

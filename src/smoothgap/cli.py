@@ -25,6 +25,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+DEFAULT_SCAN_Y = 47  # the paper's smoothness bound for prime gaps
+
 
 def fmt_float(x: float | None) -> float | None:
     """Round to 12 significant digits (half-even) for byte-stable reports."""
@@ -197,10 +199,9 @@ def _scan_request(args) -> scan.ScanRequest:
         if args.tuple_file is None:
             raise ValueError("tuple-translates mode requires --tuple-file")
         kwargs["tuple"] = load_tuples(args.tuple_file)[0]
+        kwargs["y"] = args.y  # ScanRequest rejects a y in this mode
     else:
-        if args.y is None:
-            raise ValueError(f"{args.mode} mode requires --y")
-        kwargs["y"] = args.y
+        kwargs["y"] = DEFAULT_SCAN_Y if args.y is None else args.y
     return scan.ScanRequest(**kwargs)
 
 
@@ -260,7 +261,7 @@ def cmd_scan(args) -> int:
     except ValueError as e:
         print(f"scan: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = scan.run_scan(req, segment_size=args.segment_size, threads=args.threads)
+    report = scan.run_scan(req, threads=args.threads)
     if args.format == "csv":
         sys.stdout.write(scan_report_csv(report))
     else:
@@ -337,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
         "mode", choices=[scan.MODE_PAIRS, scan.MODE_CONSECUTIVE, scan.MODE_TRANSLATES]
     )
     p.add_argument("x", type=int)
-    p.add_argument("--y", type=int, default=47)
+    p.add_argument(
+        "--y", type=int, help=f"smoothness bound, pair modes only (default {DEFAULT_SCAN_Y})"
+    )
     p.add_argument("--tuple-file")
     p.add_argument("--checkpoints", help="comma-separated, last must equal x")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--exclude-gap-one", action="store_true")
     p.add_argument("--at-least", type=int, help="also count at-least-m-primes events")
-    p.add_argument("--segment-size", type=int)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_scan)
 

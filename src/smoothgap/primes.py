@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError
+import numpy as np
+
+from ._sieve import prime_flags
 
 # is_prime is exact below this bound (fixed witness set); probabilistic above.
 DETERMINISTIC_LIMIT = 1 << 64
@@ -17,16 +19,6 @@ DEFAULT_MR_ROUNDS = 40
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sufficient witness set for all n < 2^64 (miller-rabin.appspot.com).
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-_DEFAULT_MEM_BUDGET = 4_000_000_000
-
-
-def mem_budget() -> int:
-    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET."""
-    raw = os.environ.get("SMOOTHGAP_MEM_BUDGET")
-    if raw is None:
-        return _DEFAULT_MEM_BUDGET
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -39,48 +31,20 @@ class PrimeTable:
     def __contains__(self, n: int) -> bool:
         if not 2 <= n <= self.limit:
             return False
-        i = _bisect(self.primes, n)
+        i = bisect.bisect_left(self.primes, n)
         return i < len(self.primes) and self.primes[i] == n
 
 
-def _bisect(seq, n):
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid] < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def sieve_primes(limit: int) -> PrimeTable:
-    """Odd-only sieve of Eratosthenes up to `limit` inclusive."""
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit // 2 + 1 > mem_budget():
-        raise CapacityError(
-            f"sieve to {limit} needs ~{limit // 2} bytes, over budget {mem_budget()}"
-        )
-    if limit < 2:
-        return PrimeTable(limit, ())
-    # flags[i] covers the odd number 2*i+1
-    half = (limit + 1) // 2
-    flags = bytearray([1]) * half
-    flags[0] = 0  # 1 is not prime
-    for i in range(1, min(half, (math.isqrt(limit) + 1) // 2 + 1)):
-        if flags[i]:
-            p = 2 * i + 1
-            start = (p * p) // 2
-            flags[start::p] = bytes(len(range(start, half, p)))
-    primes = [2]
-    primes.extend(2 * i + 1 for i in range(1, half) if flags[i])
-    return PrimeTable(limit, tuple(primes))
+    """All primes up to `limit` inclusive, from the package's one sieve."""
+    return PrimeTable(limit, tuple(np.flatnonzero(prime_flags(limit)).tolist()))
 
 
-@lru_cache(maxsize=64)
-def _cached_table(limit: int) -> PrimeTable:
-    return sieve_primes(limit)
+@lru_cache(maxsize=256)
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """The package's one cache of prime lists, for the small limits of
+    primorials, smoothness checks and admissibility."""
+    return sieve_primes(limit).primes
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -127,7 +91,7 @@ def primorial(k: int) -> int:
     """Product of all primes <= k; 1 when no such prime exists."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return math.prod(_cached_table(k).primes) if k >= 2 else 1
+    return math.prod(_primes_upto(k)) if k >= 2 else 1
 
 
 def largest_prime_leq(k: int) -> int:

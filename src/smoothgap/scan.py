@@ -1,21 +1,17 @@
-"""Desk-scale empirical scans: segmented sieving, smooth-gap pair counts,
-consecutive-pair counts, and prime tuple-translate counts with
-Hardy-Littlewood predictions."""
+"""Desk-scale empirical scans: smooth-gap pair counts, consecutive-pair
+counts, and prime tuple-translate counts with Hardy-Littlewood predictions."""
 
 from __future__ import annotations
 
 import bisect
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from ._sieve import SCAN_LIMIT, base_prime_flags, prime_flags, prime_flags_range
+from ._sieve import SCAN_LIMIT, mem_budget, prime_flags
 from .constants import hl_prediction
 from .errors import CapacityError
-from .primes import mem_budget
 from .smoothness import is_smooth, smooth_numbers_up_to
 from .tuples import IntegerTuple, diameter, is_admissible
 
@@ -70,7 +66,7 @@ class ScanRequest:
                 )
         elif self.mode == MODE_TRANSLATES:
             if self.tuple is None or self.y is not None:
-                raise ValueError(f"mode {self.mode!r} takes a tuple and no y")
+                raise ValueError(f"mode {self.mode!r} takes a tuple and no y (--y)")
             if not self.include_gap_one:
                 raise ValueError(
                     "include_gap_one=False (--exclude-gap-one) applies to the "
@@ -103,27 +99,6 @@ class ScanReport:
     request: ScanRequest
     records: tuple[CheckpointRecord, ...]
     witnesses: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
-
-
-def segmented_sieve(lo: int, hi: int, segment_size: int | None = None) -> Iterator[int]:
-    """Stream the primes in [lo, hi) in order."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi})")
-    if hi > SCAN_LIMIT:
-        raise CapacityError(f"hi {hi} exceeds the desk-scale guard {SCAN_LIMIT}")
-    if hi <= 2:
-        return
-    root = math.isqrt(hi - 1) + 1
-    base = base_prime_flags(root)
-    if segment_size is None:
-        segment_size = max(root, 1 << 16)
-    if segment_size > 10**9:
-        raise CapacityError(f"segment_size {segment_size} is oversized")
-    for seg_lo in range(lo, hi, segment_size):
-        seg_hi = min(seg_lo + segment_size, hi)
-        flags = prime_flags_range(seg_lo, seg_hi, base)
-        for idx in np.flatnonzero(flags):
-            yield seg_lo + int(idx)
 
 
 def _gap_values(req: ScanRequest, limit: int) -> list[int]:
@@ -218,11 +193,7 @@ def _fft_is_cheaper(x: int, gaps: list[int], checkpoints) -> bool:
     return fft_cost < sum(x + 1 - s for s in gaps)
 
 
-def count_smooth_gap_pairs(
-    req: ScanRequest,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> ScanReport:
+def count_smooth_gap_pairs(req: ScanRequest, threads: int = 1) -> ScanReport:
     """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
     Two exact kernels, chosen per request by estimated time within the
@@ -246,7 +217,7 @@ def count_smooth_gap_pairs(
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
     x = req.x_max
     gaps = _gap_values(req, x - 2) if x > 2 else []
-    flags = prime_flags(x, segment_size)
+    flags = prime_flags(x)
     if _fft_is_cheaper(x, gaps, req.checkpoints):
         counts = _fft_pair_counts(flags, gaps, req.checkpoints)
     else:
@@ -255,21 +226,16 @@ def count_smooth_gap_pairs(
     return ScanReport(req, records, _pair_witnesses(flags, gaps))
 
 
-def count_consecutive_smooth_gap_pairs(
-    req: ScanRequest,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> ScanReport:
+def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Adjacent prime pairs (q, next prime) <= checkpoint with y-smooth gap."""
     if req.mode != MODE_CONSECUTIVE:
         raise ValueError(f"expected mode {MODE_CONSECUTIVE!r}")
-    flags = prime_flags(req.x_max, segment_size)
-    primes = np.flatnonzero(flags)
+    primes = np.flatnonzero(prime_flags(req.x_max))
     gaps = np.diff(primes)
-    smooth_gap = {int(g): bool(is_smooth(int(g), req.y)) for g in np.unique(gaps)}
-    if not req.include_gap_one:
-        smooth_gap[1] = False
-    mask = np.array([smooth_gap[int(g)] for g in gaps], dtype=bool)
+    smooth_gap = np.zeros(int(gaps.max(initial=0)) + 1, dtype=bool)
+    for g in np.unique(gaps).tolist():
+        smooth_gap[g] = (g > 1 or req.include_gap_one) and bool(is_smooth(g, req.y))
+    mask = smooth_gap[gaps]
     upper = primes[1:][mask]  # pair counted once the larger member is in range
     records = tuple(
         CheckpointRecord(int(c), int(n))
@@ -284,18 +250,14 @@ def count_consecutive_smooth_gap_pairs(
     return ScanReport(req, records, witnesses)
 
 
-def count_tuple_translates(
-    req: ScanRequest,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> ScanReport:
+def count_tuple_translates(req: ScanRequest) -> ScanReport:
     """Integers n < checkpoint with n + h prime for every h in the tuple,
     with Hardy-Littlewood predictions in ratio and integral form."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
     x = req.x_max
-    flags = prime_flags(x - 1 + diameter(H), segment_size)
+    flags = prime_flags(x - 1 + diameter(H))
     ok = np.ones(max(x - 1, 0), dtype=bool)  # index i covers n = i + 1
     for h in H:
         ok &= flags[1 + h : x + h]
@@ -334,14 +296,13 @@ def count_tuple_translates(
     return ScanReport(req, tuple(records), witnesses)
 
 
-def run_scan(
-    req: ScanRequest, segment_size: int | None = None, threads: int = 1
-) -> ScanReport:
+def run_scan(req: ScanRequest, threads: int = 1) -> ScanReport:
+    """Run the request's mode; `threads` reaches only the per-gap pairs kernel."""
     if req.mode == MODE_PAIRS:
-        return count_smooth_gap_pairs(req, segment_size, threads)
+        return count_smooth_gap_pairs(req, threads)
     if req.mode == MODE_CONSECUTIVE:
-        return count_consecutive_smooth_gap_pairs(req, segment_size, threads)
-    return count_tuple_translates(req, segment_size, threads)
+        return count_consecutive_smooth_gap_pairs(req)
+    return count_tuple_translates(req)
 
 
 def _pair_witnesses(flags: np.ndarray, gaps: list[int]):

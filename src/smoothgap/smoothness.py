@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
+from ._sieve import mem_budget
 from .errors import CapacityError, FactorBudgetError
-from .primes import DETERMINISTIC_LIMIT, is_prime, mem_budget, sieve_primes
+from .primes import DETERMINISTIC_LIMIT, _primes_upto, is_prime
 
 DEFAULT_TRIAL_LIMIT = 1_000_000
 
@@ -34,11 +34,6 @@ class SmoothnessCheck:
 
     def __bool__(self) -> bool:
         return self.smooth
-
-
-@lru_cache(maxsize=256)
-def _primes_leq(y: int) -> tuple[int, ...]:
-    return sieve_primes(y).primes
 
 
 def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> SmoothnessCertificate:
@@ -92,7 +87,7 @@ def is_smooth(n: int, y: int) -> SmoothnessCheck:
         raise ValueError(f"y must be at least 2, got {y}")
     m = n
     factors: list[tuple[int, int]] = []
-    for p in _primes_leq(y):
+    for p in _primes_upto(y):
         if p * p > m:
             break
         e = 0
@@ -118,7 +113,7 @@ def smooth_numbers_up_to(y: int, bound: int) -> list[int]:
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     cap = mem_budget() // 8
-    primes = _primes_leq(y)
+    primes = _primes_upto(y)
     out = [1]
     # Depth-first over factorizations by increasing prime: every smooth
     # number is reached once, and each node stops at its first prime that

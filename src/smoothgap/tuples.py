@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .primes import is_prime, largest_prime_leq, primorial, sieve_primes
+from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
 
 
@@ -84,7 +84,7 @@ def is_admissible(H: IntegerTuple) -> AdmissibilityReport:
     k = len(H)
     coverage: dict[int, int] = {}
     obstruction = None
-    for p in sieve_primes(k).primes:
+    for p in _primes_upto(k):
         v = residue_coverage(H, p)
         coverage[p] = v
         if v == p and obstruction is None:
@@ -276,7 +276,7 @@ def search_min_diameter_admissible(k: int, budget: int = 10**7) -> SearchResult:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     incumbent = construct_consecutive_prime_tuple(k)
-    ps = sieve_primes(k).primes
+    ps = _primes_upto(k)
     state = _SearchState(budget)
     try:
         for d in range(_admissibility_lower_bound(k), diameter(incumbent) + 1):
@@ -308,7 +308,7 @@ def search_min_diameter_difference_smooth(
     if y < z:
         return SearchResult(None, None, 0, proven_minimal=True, budget_exhausted=False)
     incumbent = construct_primorial_tuple(k)
-    ps = sieve_primes(k).primes
+    ps = _primes_upto(k)
     state = _SearchState(budget)
     lower = _admissibility_lower_bound(k)
     upper = diameter(incumbent)
@@ -319,10 +319,10 @@ def search_min_diameter_difference_smooth(
             state.tick()
             if d > smooth_cap:
                 smooth_cap = max(4 * d, 256)
-                smooth_ok = bytearray(smooth_cap + 1)
-                smooth_ok[0] = 1
+                smooth_ok = [False] * (smooth_cap + 1)
+                smooth_ok[0] = True
                 for s in smooth_numbers_up_to(y, smooth_cap):
-                    smooth_ok[s] = 1
+                    smooth_ok[s] = True
             middles = _search_fixed_diameter(k, d, ps, state, smooth_ok)
             if middles is not None:
                 H = IntegerTuple(tuple([0] + middles + [d]))

@@ -150,9 +150,8 @@ def test_criterion_7_scan_oracle_equivalence():
     ]
     for req in requests:
         reference = scan_report_json(run_scan(req))
-        for segment_size in (128, 4096):
-            for threads in (1, 3):
-                assert scan_report_json(run_scan(req, segment_size, threads)) == reference
+        for threads in (1, 3):
+            assert scan_report_json(run_scan(req, threads)) == reference
     report(7, "all scan modes equal brute force at 1e4; reports byte-stable")
 
 

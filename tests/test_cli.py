@@ -231,6 +231,7 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
         ("tuple-translates", "100", "--tuple-file", "(0,2)", "--exclude-gap-one"),
         ("pairs", "100", "--checkpoints", "0,100"),
         ("consecutive-pairs", "100", "--checkpoints=-5,100"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--y", "5"),
     ],
 )
 def test_scan_rejects_ignored_flags(capsys, argv):

@@ -1,5 +1,6 @@
 import pytest
 
+from smoothgap._sieve import prime_flags
 from smoothgap.errors import CapacityError
 from smoothgap.primes import (
     is_prime,
@@ -8,7 +9,7 @@ from smoothgap.primes import (
     sieve_primes,
 )
 
-from tests.oracles import trial_is_prime, trial_primes
+from tests.oracles import simple_sieve, trial_is_prime, trial_primes
 
 PRIMORIAL_47 = 614889782588491410
 
@@ -42,6 +43,33 @@ def test_sieve_capacity_gate(monkeypatch):
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
     with pytest.raises(CapacityError):
         sieve_primes(10**6)
+
+
+def test_prime_flags_counts():
+    flags = prime_flags(10**7)
+    pi = [int(flags[: 10**k + 1].sum()) for k in range(1, 8)]
+    assert pi == [4, 25, 168, 1229, 9592, 78498, 664579]
+    assert int(flags[10**6 : 2 * 10**6].sum()) == 70435
+
+
+def test_prime_flags_matches_simple_sieve():
+    assert prime_flags(10**5).tolist() == [bool(b) for b in simple_sieve(10**5)]
+
+
+def test_prime_flags_guards(monkeypatch):
+    with pytest.raises(ValueError):
+        prime_flags(-1)
+    with pytest.raises(CapacityError):
+        prime_flags(10**12 + 1)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
+    with pytest.raises(CapacityError):
+        prime_flags(1000)
+    assert prime_flags(999).sum() == 168
+
+
+@pytest.mark.slow
+def test_prime_flags_pi_1e9():
+    assert int(prime_flags(10**9).sum()) == 50847534
 
 
 def test_is_prime_examples():

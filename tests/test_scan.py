@@ -14,7 +14,6 @@ from smoothgap.scan import (
     count_smooth_gap_pairs,
     count_tuple_translates,
     run_scan,
-    segmented_sieve,
 )
 from smoothgap.tuples import IntegerTuple
 
@@ -25,28 +24,6 @@ from tests.oracles import (
     simple_sieve,
     trial_primes,
 )
-
-
-def test_segmented_sieve_examples():
-    assert list(segmented_sieve(10, 30)) == [11, 13, 17, 19, 23, 29]
-    assert len(list(segmented_sieve(1, 10**6))) == 78498
-    assert len(list(segmented_sieve(10**6, 2 * 10**6))) == 70435
-
-
-def test_segmented_sieve_matches_trial_division():
-    assert list(segmented_sieve(0, 500, segment_size=64)) == trial_primes(499)
-
-
-def test_segmented_sieve_segment_size_independent():
-    for size in (17, 100, 10**5):
-        assert list(segmented_sieve(900, 1100, segment_size=size)) == [
-            p for p in trial_primes(1099) if p >= 900
-        ]
-
-
-def test_segmented_sieve_guard():
-    with pytest.raises(CapacityError):
-        list(segmented_sieve(0, 10**12 + 1))
 
 
 def test_request_validation():
@@ -154,6 +131,13 @@ def test_pairs_all_gaps_smooth_is_binomial():
     assert pi == [168, 17984]
     report = count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x, checkpoints=(1000, x)))
     assert [r.count for r in report.records] == [n * (n - 1) // 2 for n in pi]
+
+
+@pytest.mark.slow
+def test_pairs_all_gaps_smooth_is_binomial_at_1e7():
+    x, pi = 10**7, 664579  # pi(10^7), OEIS A006880
+    report = count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x))
+    assert report.records[0].count == pi * (pi - 1) // 2
 
 
 def test_pairs_roundoff_guard(monkeypatch):
@@ -272,11 +256,9 @@ def test_checkpoint_consistency():
     ],
 )
 def test_reports_byte_identical_across_knobs(req):
-    reference = scan_report_json(run_scan(req, segment_size=None, threads=1))
-    for segment_size in (64, 999, 10**5):
-        for threads in (1, 2, 4):
-            got = scan_report_json(run_scan(req, segment_size, threads))
-            assert got == reference
+    reference = scan_report_json(run_scan(req, threads=1))
+    for threads in (2, 4):
+        assert scan_report_json(run_scan(req, threads)) == reference
 
 
 def test_pair_witnesses_ordering():
