@@ -195,10 +195,11 @@ def _scan_request(args) -> scan.ScanRequest:
         include_gap_one=not args.exclude_gap_one,
         min_prime_count=args.at_least,
     )
+    if args.tuple_file is not None:  # ScanRequest rejects a tuple in the pair modes
+        kwargs["tuple"] = load_tuples(args.tuple_file)[0]
     if args.mode == scan.MODE_TRANSLATES:
         if args.tuple_file is None:
             raise ValueError("tuple-translates mode requires --tuple-file")
-        kwargs["tuple"] = load_tuples(args.tuple_file)[0]
         kwargs["y"] = args.y  # ScanRequest rejects a y in this mode
     else:
         kwargs["y"] = DEFAULT_SCAN_Y if args.y is None else args.y

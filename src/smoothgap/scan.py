@@ -56,7 +56,7 @@ class ScanRequest:
             )
         if self.mode in _PAIR_MODES:
             if self.y is None or self.tuple is not None:
-                raise ValueError(f"mode {self.mode!r} takes y and no tuple")
+                raise ValueError(f"mode {self.mode!r} takes y and no tuple (--tuple-file)")
             if self.y < 2:
                 raise ValueError(f"y must be at least 2, got {self.y}")
             if self.min_prime_count is not None:
@@ -215,6 +215,7 @@ def count_smooth_gap_pairs(req: ScanRequest, threads: int = 1) -> ScanReport:
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
+    _check_threads(threads)
     x = req.x_max
     gaps = _gap_values(req, x - 2) if x > 2 else []
     flags = prime_flags(x)
@@ -298,11 +299,17 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
 
 def run_scan(req: ScanRequest, threads: int = 1) -> ScanReport:
     """Run the request's mode; `threads` reaches only the per-gap pairs kernel."""
+    _check_threads(threads)
     if req.mode == MODE_PAIRS:
         return count_smooth_gap_pairs(req, threads)
     if req.mode == MODE_CONSECUTIVE:
         return count_consecutive_smooth_gap_pairs(req)
     return count_tuple_translates(req)
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _pair_witnesses(flags: np.ndarray, gaps: list[int]):

@@ -167,103 +167,149 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _SearchState:
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget: int):
-        self.nodes = 0
-        self.budget = budget
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-
-
 def _admissibility_lower_bound(k: int) -> int:
     # v_2 < 2 forces a single parity class, so gaps are >= 2 throughout.
     return 2 * (k - 1)
 
 
-def _init_residue_state(ps, d):
-    # residue coverage for the fixed endpoints 0 and d
-    masks = []
-    counts = []
-    for p in ps:
-        r = d % p
-        if r == 0:
-            masks.append(1)
-            counts.append(1)
-        else:
-            masks.append(1 | (1 << r))
-            counts.append(2)
-    return masks, counts
+class _Positions:
+    """Bit tables over the positions 0..n for the primes ps, and y if given.
+
+    A coverage word has one field of p bits per prime p, each with a zero
+    guard bit above it; bit r of p's field stands for the class r mod p.
+    A position word has bit v set for each position v in it.
+    """
+
+    def __init__(self, ps, n: int, y: int | None):
+        self.n = n
+        self.fields = self.guards = self.lows = 0
+        self.field_of_guard = {}  # guard bit -> the bits of its field
+        self.class_of_bit = {}  # coverage bit -> the positions in its class
+        own = [0] * (n + 1)  # own[v]: the classes of v
+        offset = 0
+        for p in ps:
+            field = ((1 << p) - 1) << offset
+            guard = 1 << (offset + p)
+            self.fields |= field
+            self.guards |= guard
+            self.lows |= 1 << offset
+            self.field_of_guard[guard] = field
+            multiples = int("1".rjust(p, "0") * (n // p + 1), 2)  # bits 0, p, 2p, ...
+            for r in range(p):
+                self.class_of_bit[1 << (offset + r)] = multiples << r
+            for v in range(n + 1):
+                own[v] |= 1 << (offset + v % p)
+            offset += p + 1
+        self.clear = [self.fields & ~bits for bits in own]  # every class but v's
+        # smooth: the positions s with s y-smooth, 0 included
+        self.smooth = None
+        if y is not None:
+            digits = ["0"] * (n + 1)
+            for s in [0] + smooth_numbers_up_to(y, n):
+                digits[n - s] = "1"
+            self.smooth = int("".join(digits), 2)
 
 
-def _search_fixed_diameter(k, d, ps, state, smooth_ok=None):
+def _search_fixed_diameter(k, d, table, nodes, budget):
     """First (lex-smallest) admissible k-tuple 0 = h_0 < ... < h_{k-1} = d.
 
-    With smooth_ok given, every pairwise difference must satisfy it.
-    A node is one candidate element evaluated. Returns the middle
-    elements or None.
+    With table.smooth set, every pairwise difference must be smooth.
+    A node is one candidate element, placed or rejected: the rejected
+    ones are skipped a run at a time and charged in bulk. Returns the
+    middle elements or None, and the node count; raises _BudgetExhausted
+    once the count passes budget.
     """
     m = k - 2  # free slots between the endpoints
-    masks, counts = _init_residue_state(ps, d)
-    if any(c == p for c, p in zip(counts, ps)):
-        return None
-    if smooth_ok is not None and not smooth_ok[d]:
-        return None
+    free = table.fields & table.clear[0] & table.clear[d]
+    guards, lows = table.guards, table.lows
+    if ((free | guards) - lows) & guards != guards:
+        return None, nodes  # the endpoints cover every class of some prime
+    smooth = table.smooth
+    allowed = (2 << d) - 1
+    if smooth is not None:
+        if not (smooth >> d) & 1:
+            return None, nodes
+        # v - 0 and d - v smooth
+        allowed = smooth & int(format(smooth & allowed, f"0{d + 1}b")[::-1], 2)
     if m == 0:
-        return []
-    res_table = [[v % p for p in ps] for v in range(d + 1)]
-    np_ = len(ps)
-    chosen: list[int] = []
+        return [], nodes
+    clear, class_of_bit, field_of_guard = table.clear, table.class_of_bit, table.field_of_guard
+    top = d - m  # the last candidate at depth 0
+    last = m - 1
 
-    def extend(depth: int, low: int) -> bool:
-        hi = d - (m - depth)  # leave room for the remaining slots
-        for v in range(low, hi + 1):
-            state.tick()
-            if smooth_ok is not None:
-                if not (smooth_ok[v] and smooth_ok[d - v]):
-                    continue
-                if any(not smooth_ok[v - h] for h in chosen):
-                    continue
-            rv = res_table[v]
-            ok = True
-            for i in range(np_):
-                r = rv[i]
-                if not (masks[i] >> r) & 1 and counts[i] + 1 == ps[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            placed = []
-            for i in range(np_):
-                r = rv[i]
-                if not (masks[i] >> r) & 1:
-                    masks[i] |= 1 << r
-                    counts[i] += 1
-                    placed.append(i)
-            chosen.append(v)
-            if depth + 1 == m or extend(depth + 1, v + 1):
-                return True
-            chosen.pop()
-            for i in placed:
-                masks[i] &= ~(1 << res_table[v][i])
-                counts[i] -= 1
-        return False
+    # free: the classes still uncovered; grew: whether the last element
+    # covered a new one; singles: the guards of the primes down to one free
+    # class; forbidden: the positions in those classes, which only grows
+    # with depth; allowed: the positions every difference permits.
+    def extend(depth, low, free, grew, singles, forbidden, allowed):
+        nonlocal nodes
+        if grew:
+            # Each field x of rest is x & (x - 1): with its guard set, x - 1
+            # borrows only within the field. Every prime keeps a free class,
+            # so x > 0, and rest's field is 0 iff one class is left; the
+            # second subtraction clears exactly those fields' guards.
+            rest = free & ((free | guards) - lows)
+            now = guards ^ (((rest | guards) - lows) & guards)
+            new = now ^ singles
+            singles = now
+            while new:
+                guard = new & -new
+                new ^= guard
+                forbidden |= class_of_bit[free & field_of_guard[guard]]
+        hi = top + depth  # leave room for the remaining slots
+        open_ = ((allowed & ~forbidden) >> low) & ((2 << (hi - low)) - 1)
+        pos = low  # the first candidate not yet charged
+        while open_:
+            bit = open_ & -open_
+            open_ ^= bit
+            v = low + bit.bit_length() - 1
+            nodes += v - pos + 1
+            if nodes > budget:
+                raise _BudgetExhausted
+            pos = v + 1
+            if depth == last:
+                return [v]
+            placed = free & clear[v]
+            if smooth is not None:
+                narrowed = allowed & (smooth << v)
+            else:
+                narrowed = allowed
+            tail = extend(depth + 1, pos, placed, placed != free, singles, forbidden, narrowed)
+            if tail is not None:
+                return [v] + tail
+        nodes += hi - pos + 1
+        if nodes > budget:
+            raise _BudgetExhausted
+        return None
 
-    return chosen if extend(0, 1) else None
+    return extend(0, 1, free, True, 0, 0, allowed), nodes
 
 
-def _result_from(H, state, proven, exhausted):
-    return SearchResult(
-        tuple=H,
-        diameter=None if H is None else diameter(H),
-        nodes_explored=state.nodes,
-        proven_minimal=proven,
-        budget_exhausted=exhausted,
-    )
+def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> SearchResult:
+    """Iterative deepening over the diameters up to the incumbent's."""
+    ps = _primes_upto(k)
+    table = None
+    nodes = 0
+    try:
+        for d in range(_admissibility_lower_bound(k), diameter(incumbent) + 1):
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExhausted
+            if table is None or d > table.n:
+                table = _Positions(ps, max(4 * d, 256), y)
+            middles, nodes = _search_fixed_diameter(k, d, table, nodes, budget)
+            if middles is not None:
+                H = IntegerTuple(tuple([0] + middles + [d]))
+                return SearchResult(H, d, nodes, proven_minimal=True, budget_exhausted=False)
+    except _BudgetExhausted:
+        return SearchResult(
+            incumbent,
+            diameter(incumbent),
+            budget + 1,
+            proven_minimal=False,
+            budget_exhausted=True,
+        )
+    raise AssertionError("unreachable: the incumbent's diameter is always attainable")
 
 
 def search_min_diameter_admissible(k: int, budget: int = 10**7) -> SearchResult:
@@ -271,23 +317,14 @@ def search_min_diameter_admissible(k: int, budget: int = 10**7) -> SearchResult:
 
     Iterative deepening on the diameter, seeded with the consecutive-prime
     baseline as incumbent; ties broken lexicographically smallest. The
-    budget counts candidate-element evaluations.
+    budget (at least 1) counts candidate elements, one node each, and
+    one node per diameter tried.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    incumbent = construct_consecutive_prime_tuple(k)
-    ps = _primes_upto(k)
-    state = _SearchState(budget)
-    try:
-        for d in range(_admissibility_lower_bound(k), diameter(incumbent) + 1):
-            state.tick()
-            middles = _search_fixed_diameter(k, d, ps, state)
-            if middles is not None:
-                H = IntegerTuple(tuple([0] + middles + [d]))
-                return _result_from(H, state, True, False)
-    except _BudgetExhausted:
-        return _result_from(incumbent, state, False, True)
-    raise AssertionError("unreachable: incumbent diameter is always attainable")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return _deepen(k, None, construct_consecutive_prime_tuple(k), budget)
 
 
 def search_min_diameter_difference_smooth(
@@ -304,29 +341,8 @@ def search_min_diameter_difference_smooth(
         raise ValueError(f"k must be at least 2, got {k}")
     if y < 2:
         raise ValueError(f"y must be at least 2, got {y}")
-    z = largest_prime_leq(k)
-    if y < z:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if y < largest_prime_leq(k):
         return SearchResult(None, None, 0, proven_minimal=True, budget_exhausted=False)
-    incumbent = construct_primorial_tuple(k)
-    ps = _primes_upto(k)
-    state = _SearchState(budget)
-    lower = _admissibility_lower_bound(k)
-    upper = diameter(incumbent)
-    smooth_ok = None
-    smooth_cap = 0
-    try:
-        for d in range(lower, upper + 1):
-            state.tick()
-            if d > smooth_cap:
-                smooth_cap = max(4 * d, 256)
-                smooth_ok = [False] * (smooth_cap + 1)
-                smooth_ok[0] = True
-                for s in smooth_numbers_up_to(y, smooth_cap):
-                    smooth_ok[s] = True
-            middles = _search_fixed_diameter(k, d, ps, state, smooth_ok)
-            if middles is not None:
-                H = IntegerTuple(tuple([0] + middles + [d]))
-                return _result_from(H, state, True, False)
-    except _BudgetExhausted:
-        return _result_from(incumbent, state, False, True)
-    raise AssertionError("unreachable: primorial tuple diameter is attainable")
+    return _deepen(k, y, construct_primorial_tuple(k), budget)

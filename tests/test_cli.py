@@ -144,6 +144,15 @@ def test_search_budget_exit(capsys):
     assert payload["budget_exhausted"] is True
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("smooth", [(), ("--smooth", "11")])
+def test_search_rejects_budget_below_one(capsys, budget, smooth):
+    code, out, err = invoke(capsys, "search", "10", *smooth, "--budget", budget)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_search_k2(capsys):
     code, out, _ = invoke(capsys, "search", "2")
     assert code == EXIT_OK
@@ -232,6 +241,11 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
         ("pairs", "100", "--checkpoints", "0,100"),
         ("consecutive-pairs", "100", "--checkpoints=-5,100"),
         ("tuple-translates", "100", "--tuple-file", "(0,2)", "--y", "5"),
+        ("pairs", "100", "--tuple-file", "(0,2)"),
+        ("consecutive-pairs", "100", "--tuple-file", "(0,2)"),
+        ("pairs", "100", "--threads", "0"),
+        ("consecutive-pairs", "100", "--threads", "-3"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--threads", "0"),
     ],
 )
 def test_scan_rejects_ignored_flags(capsys, argv):

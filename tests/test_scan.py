@@ -56,6 +56,20 @@ def test_request_rejects_ignored_fields():
             ScanRequest(x_max=10, mode="pairs", y=2, checkpoints=checkpoints)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    pairs = ScanRequest(x_max=100, mode="pairs", y=2)
+    with pytest.raises(ValueError):
+        count_smooth_gap_pairs(pairs, threads)
+    for req in (
+        pairs,
+        ScanRequest(x_max=100, mode="consecutive-pairs", y=2),
+        ScanRequest(x_max=100, mode="tuple-translates", tuple=IntegerTuple((0, 2))),
+    ):
+        with pytest.raises(ValueError):
+            run_scan(req, threads)
+
+
 def test_pairs_hand_examples():
     assert run_scan(ScanRequest(10, "pairs", y=2)).records[0].count == 4
     assert (

@@ -2,6 +2,8 @@ import pytest
 
 from smoothgap.primes import largest_prime_leq
 from smoothgap.tuples import (
+    IntegerTuple,
+    SearchResult,
     diameter,
     is_admissible,
     is_difference_smooth,
@@ -111,3 +113,142 @@ def test_search_domain_errors():
         search_min_diameter_difference_smooth(1, 5)
     with pytest.raises(ValueError):
         search_min_diameter_difference_smooth(3, 1)
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            search_min_diameter_admissible(5, budget)
+        with pytest.raises(ValueError):
+            search_min_diameter_difference_smooth(5, 7, budget)
+        with pytest.raises(ValueError):  # also where the search is certified impossible
+            search_min_diameter_difference_smooth(5, 3, budget)
+
+
+# Golden table, frozen from the per-candidate kernel that preceded the bitset
+# kernel: the same tuples, the same node counts and the same status, including
+# the runs that stop exactly at the budget (k = 10 proves its minimum in 3,493
+# nodes, smooth (12, 11) in 219,275).
+INCUMBENT_20 = (0, 6, 8, 14, 18, 20, 24, 30, 36, 38, 44, 48, 50, 56, 60, 66, 74, 78, 80, 84)
+INCUMBENT_30 = (
+    0, 6, 10, 12, 16, 22, 28, 30, 36, 40, 42, 48, 52, 58, 66, 70, 72, 76, 78, 82, 96, 100,
+    106, 108, 118, 120, 126, 132, 136, 142,
+)
+INCUMBENT_50 = (
+    0, 6, 8, 14, 18, 20, 26, 30, 36, 44, 48, 50, 54, 56, 60, 74, 78, 84, 86, 96, 98, 104,
+    110, 114, 120, 126, 128, 138, 140, 144, 146, 158, 170, 174, 176, 180, 186, 188, 198,
+    204, 210, 216, 218, 224, 228, 230, 240, 254, 258, 260,
+)
+SMOOTH_12_11 = (0, 12, 18, 24, 28, 30, 40, 42, 48, 60, 72, 84)
+PRIMORIAL_12 = (0, 2310, 4620, 6930, 9240, 11550, 13860, 16170, 18480, 20790, 23100, 25410)
+
+ADMISSIBLE_GOLDEN = [
+    (2, 10**7, (0, 2), 1, "proven"),
+    (3, 10**7, (0, 2, 6), 8, "proven"),
+    (4, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (5, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
+    (6, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
+    (7, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
+    (8, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 1_200, "proven"),
+    (9, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 1_982, "proven"),
+    (10, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
+    (11, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36), 5_546, "proven"),
+    (12, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42), 18_014, "proven"),
+    (13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48), 54_975, "proven"),
+    (14, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50), 82_981, "proven"),
+    (15, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56), 244_269, "proven"),
+    (16, 10**7,
+        (0, 2, 6, 12, 14, 20, 26, 30, 32, 36, 42, 44, 50, 54, 56, 60),
+        375_216, "proven"),
+    (18, 10**7,
+        (0, 4, 6, 10, 16, 18, 24, 28, 30, 34, 40, 46, 48, 54, 58, 60, 66, 70),
+        2_142_991, "proven"),
+    (20, 1, INCUMBENT_20, 2, "exhausted"),
+    (20, 50, INCUMBENT_20, 51, "exhausted"),
+    (20, 12_345, INCUMBENT_20, 12_346, "exhausted"),
+    (20, 10**5, INCUMBENT_20, 100_001, "exhausted"),
+    (30, 1, INCUMBENT_30, 2, "exhausted"),
+    (30, 50, INCUMBENT_30, 51, "exhausted"),
+    (30, 12_345, INCUMBENT_30, 12_346, "exhausted"),
+    (30, 10**5, INCUMBENT_30, 100_001, "exhausted"),
+    (50, 1, INCUMBENT_50, 2, "exhausted"),
+    (50, 50, INCUMBENT_50, 51, "exhausted"),
+    (50, 12_345, INCUMBENT_50, 12_346, "exhausted"),
+    (50, 10**5, INCUMBENT_50, 100_001, "exhausted"),
+    (10, 3_492, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "exhausted"),
+    (10, 3_493, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
+    (10, 3_494, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
+]
+SMOOTH_GOLDEN = [
+    (2, 2, 10**7, (0, 2), 1, "proven"),
+    (2, 3, 10**7, (0, 2), 1, "proven"),
+    (2, 5, 10**7, (0, 2), 1, "proven"),
+    (2, 7, 10**7, (0, 2), 1, "proven"),
+    (2, 11, 10**7, (0, 2), 1, "proven"),
+    (2, 13, 10**7, (0, 2), 1, "proven"),
+    (3, 2, 10**7, None, 0, "impossible"),
+    (3, 3, 10**7, (0, 2, 6), 8, "proven"),
+    (3, 5, 10**7, (0, 2, 6), 8, "proven"),
+    (3, 7, 10**7, (0, 2, 6), 8, "proven"),
+    (3, 11, 10**7, (0, 2, 6), 8, "proven"),
+    (3, 13, 10**7, (0, 2, 6), 8, "proven"),
+    (4, 2, 10**7, None, 0, "impossible"),
+    (4, 3, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (4, 5, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (4, 7, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (4, 11, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (4, 13, 10**7, (0, 2, 6, 8), 17, "proven"),
+    (5, 2, 10**7, None, 0, "impossible"),
+    (5, 3, 10**7, None, 0, "impossible"),
+    (5, 5, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
+    (5, 7, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
+    (5, 11, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
+    (5, 13, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
+    (6, 2, 10**7, None, 0, "impossible"),
+    (6, 3, 10**7, None, 0, "impossible"),
+    (6, 5, 10**7, (0, 4, 6, 10, 12, 16), 71, "proven"),
+    (6, 7, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
+    (6, 11, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
+    (6, 13, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
+    (7, 2, 10**7, None, 0, "impossible"),
+    (7, 3, 10**7, None, 0, "impossible"),
+    (7, 5, 10**7, None, 0, "impossible"),
+    (7, 7, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
+    (7, 11, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
+    (7, 13, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
+    (8, 2, 10**7, None, 0, "impossible"),
+    (8, 3, 10**7, None, 0, "impossible"),
+    (8, 5, 10**7, None, 0, "impossible"),
+    (8, 7, 10**7, (0, 2, 8, 12, 14, 18, 20, 32), 2_105, "proven"),
+    (8, 11, 10**7, (0, 4, 6, 10, 16, 18, 24, 28), 1_206, "proven"),
+    (8, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 1_200, "proven"),
+    (9, 2, 10**7, None, 0, "impossible"),
+    (9, 3, 10**7, None, 0, "impossible"),
+    (9, 5, 10**7, None, 0, "impossible"),
+    (9, 7, 10**7, (0, 6, 12, 18, 20, 30, 36, 48, 60), 23_877, "proven"),
+    (9, 11, 10**7, (0, 2, 8, 12, 14, 18, 20, 30, 32), 3_251, "proven"),
+    (9, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 1_982, "proven"),
+    (12, 11, 10**7, SMOOTH_12_11, 219_275, "proven"),
+    (12, 47, 50, PRIMORIAL_12, 51, "exhausted"),
+    (12, 11, 219_274, PRIMORIAL_12, 219_275, "exhausted"),
+    (12, 11, 219_275, SMOOTH_12_11, 219_275, "proven"),
+]
+
+
+def _expected(elements, nodes, status):
+    H = None if elements is None else IntegerTuple(elements)
+    return SearchResult(
+        tuple=H,
+        diameter=None if H is None else diameter(H),
+        nodes_explored=nodes,
+        proven_minimal=status != "exhausted",
+        budget_exhausted=status == "exhausted",
+    )
+
+
+@pytest.mark.parametrize("k, budget, elements, nodes, status", ADMISSIBLE_GOLDEN)
+def test_admissible_search_golden(k, budget, elements, nodes, status):
+    assert search_min_diameter_admissible(k, budget) == _expected(elements, nodes, status)
+
+
+@pytest.mark.parametrize("k, y, budget, elements, nodes, status", SMOOTH_GOLDEN)
+def test_smooth_search_golden(k, y, budget, elements, nodes, status):
+    result = search_min_diameter_difference_smooth(k, y, budget)
+    assert result == _expected(elements, nodes, status)
