@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -188,22 +189,28 @@ def _scan_request(args) -> scan.ScanRequest:
     checkpoints = ()
     if args.checkpoints:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
-    kwargs = dict(
+    y = args.y
+    if y is None and args.mode != scan.MODE_TRANSLATES:
+        y = DEFAULT_SCAN_Y
+    # ScanRequest checks which of these fields the mode takes.
+    return scan.ScanRequest(
         x_max=args.x,
         mode=args.mode,
+        y=y,
+        tuple=None if args.tuple_file is None else load_tuples(args.tuple_file)[0],
         checkpoints=checkpoints,
         include_gap_one=not args.exclude_gap_one,
         min_prime_count=args.at_least,
     )
-    if args.tuple_file is not None:  # ScanRequest rejects a tuple in the pair modes
-        kwargs["tuple"] = load_tuples(args.tuple_file)[0]
-    if args.mode == scan.MODE_TRANSLATES:
-        if args.tuple_file is None:
-            raise ValueError("tuple-translates mode requires --tuple-file")
-        kwargs["y"] = args.y  # ScanRequest rejects a y in this mode
-    else:
-        kwargs["y"] = DEFAULT_SCAN_Y if args.y is None else args.y
-    return scan.ScanRequest(**kwargs)
+
+
+def _record_fields(r: scan.CheckpointRecord) -> dict:
+    """A checkpoint record's fields, in declaration order (the CSV columns),
+    with floats rounded for byte-stable reports."""
+    return {
+        name: fmt_float(v) if isinstance(v, float) else v
+        for name, v in dataclasses.asdict(r).items()
+    }
 
 
 def scan_report_json(report: scan.ScanReport) -> str:
@@ -219,40 +226,24 @@ def scan_report_json(report: scan.ScanReport) -> str:
             "include_gap_one": req.include_gap_one,
             "min_prime_count": req.min_prime_count,
         },
-        "records": [
-            {
-                "checkpoint": r.checkpoint,
-                "count": r.count,
-                "hl_ratio_prediction": fmt_float(r.hl_ratio_prediction),
-                "hl_integral_prediction": fmt_float(r.hl_integral_prediction),
-                "ratio": fmt_float(r.ratio),
-                "at_least_m_count": r.at_least_m_count,
-            }
-            for r in report.records
-        ],
+        "records": [_record_fields(r) for r in report.records],
         "witnesses": [list(w) for w in report.witnesses],
     }
     return dump_json(payload)
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
 def scan_report_csv(report: scan.ScanReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(
-        ["checkpoint", "count", "hl_ratio_prediction", "hl_integral_prediction", "ratio"]
-    )
+    writer.writerow(f.name for f in dataclasses.fields(scan.CheckpointRecord))
     for r in report.records:
-        writer.writerow(
-            [
-                r.checkpoint,
-                r.count,
-                "" if r.hl_ratio_prediction is None else f"{r.hl_ratio_prediction:.12g}",
-                ""
-                if r.hl_integral_prediction is None
-                else f"{r.hl_integral_prediction:.12g}",
-                "" if r.ratio is None else f"{r.ratio:.12g}",
-            ]
-        )
+        writer.writerow(_csv_cell(v) for v in _record_fields(r).values())
     return buf.getvalue()
 
 
@@ -262,7 +253,7 @@ def cmd_scan(args) -> int:
     except ValueError as e:
         print(f"scan: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = scan.run_scan(req, threads=args.threads)
+    report = scan.run_scan(req)
     if args.format == "csv":
         sys.stdout.write(scan_report_csv(report))
     else:
@@ -347,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--exclude-gap-one", action="store_true")
     p.add_argument("--at-least", type=int, help="also count at-least-m-primes events")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("constants", help="k_m table and singular series")

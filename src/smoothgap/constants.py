@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._sieve import prime_flags
 from .primes import largest_prime_leq
-from .tuples import IntegerTuple, diameter
+from .tuples import IntegerTuple, diameter, residue_coverage
 
 DEFAULT_PRIME_CUTOFF = 10**6
 
@@ -41,13 +41,11 @@ class KmEntry:
 
 
 def _coverage_counts(H: IntegerTuple, primes: np.ndarray) -> np.ndarray:
-    """v_p for each prime; for p > diameter(H) the elements are distinct mod p."""
-    k = len(H)
-    d = diameter(H)
-    v = np.full(primes.shape, k, dtype=np.int64)
-    small = primes[primes <= d]
-    for idx, p in enumerate(small):
-        v[idx] = len({h % int(p) for h in H})
+    """v_p for each prime, ascending; for p > diameter(H) the elements are
+    distinct mod p."""
+    v = np.full(primes.shape, len(H), dtype=np.int64)
+    small = primes[primes <= diameter(H)]
+    v[: len(small)] = [residue_coverage(H, int(p)) for p in small]
     return v
 
 

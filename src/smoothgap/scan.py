@@ -4,6 +4,7 @@ counts, and prime tuple-translate counts with Hardy-Littlewood predictions."""
 from __future__ import annotations
 
 import bisect
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,7 +67,14 @@ class ScanRequest:
                 )
         elif self.mode == MODE_TRANSLATES:
             if self.tuple is None or self.y is not None:
-                raise ValueError(f"mode {self.mode!r} takes a tuple and no y (--y)")
+                raise ValueError(
+                    f"mode {self.mode!r} takes a tuple (--tuple-file) and no y (--y)"
+                )
+            m = self.min_prime_count
+            if m is not None and not 1 <= m <= len(self.tuple):
+                raise ValueError(
+                    f"min_prime_count (--at-least) must be in 1..{len(self.tuple)}, got {m}"
+                )
             if not self.include_gap_one:
                 raise ValueError(
                     "include_gap_one=False (--exclude-gap-one) applies to the "
@@ -154,11 +162,12 @@ def _fft_pair_counts(flags: np.ndarray, gaps: list[int], checkpoints) -> list[in
 
 
 def _per_gap_pair_counts(
-    flags: np.ndarray, gaps: list[int], checkpoints, threads: int = 1
+    flags: np.ndarray, gaps: list[int], checkpoints, workers: int
 ) -> list[int]:
     """Pair counts at each checkpoint from one AND of the flag table with
-    itself shifted by s, per gap s, in PER_GAP_BLOCK-byte blocks: O(x) per
-    gap and one block buffer per worker thread beyond the flag table."""
+    itself shifted by s, per gap s, in PER_GAP_BLOCK-byte blocks, with the
+    gaps spread over `workers` threads: O(x) per gap and one block buffer
+    per thread beyond the flag table."""
     edges = [c + 1 for c in checkpoints]
 
     def count_gap(s: int) -> np.ndarray:
@@ -174,11 +183,8 @@ def _per_gap_pair_counts(
             counts[i] = total
         return counts
 
-    if threads <= 1:
-        partials = [count_gap(s) for s in gaps]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(count_gap, gaps))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(count_gap, gaps))
     return [int(n) for n in sum(partials, np.zeros(len(edges), dtype=np.int64))]
 
 
@@ -193,7 +199,14 @@ def _fft_is_cheaper(x: int, gaps: list[int], checkpoints) -> bool:
     return fft_cost < sum(x + 1 - s for s in gaps)
 
 
-def count_smooth_gap_pairs(req: ScanRequest, threads: int = 1) -> ScanReport:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
     Two exact kernels, chosen per request by estimated time within the
@@ -205,24 +218,25 @@ def count_smooth_gap_pairs(req: ScanRequest, threads: int = 1) -> ScanReport:
     len(checkpoints) times it when many checkpoints sit near x. It needs
     FFT_BYTES_PER_POINT bytes per point of the largest transform besides
     the (x + 1)-byte flag table, so under the default 4 GB budget it runs
-    only for x <= 2^26 = 67,108,864. It reads no `threads`.
+    only for x <= 2^26 = 67,108,864.
 
     _per_gap_pair_counts: O(x) per smooth gap, O(x * Psi(x, y)) in all, on
-    `threads` worker threads, in no memory beyond the flag table and a
-    block buffer per thread. It takes the requests the transform does not
-    fit, so pairs mode is bounded in x only by the flag table (x + 1 <=
-    mem_budget()), and those with few smooth gaps, such as y = 2 or 3.
+    one worker thread per CPU the process may run on, in no memory beyond
+    the flag table and a block buffer per thread. It takes the requests
+    the transform does not fit, so pairs mode is bounded in x only by the
+    flag table (x + 1 <= mem_budget()), and those with few smooth gaps,
+    such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
-    _check_threads(threads)
     x = req.x_max
     gaps = _gap_values(req, x - 2) if x > 2 else []
     flags = prime_flags(x)
     if _fft_is_cheaper(x, gaps, req.checkpoints):
         counts = _fft_pair_counts(flags, gaps, req.checkpoints)
     else:
-        counts = _per_gap_pair_counts(flags, gaps, req.checkpoints, threads)
+        workers = max(1, min(len(gaps), _cpu_count()))
+        counts = _per_gap_pair_counts(flags, gaps, req.checkpoints, workers)
     records = tuple(CheckpointRecord(c, n) for c, n in zip(req.checkpoints, counts))
     return ScanReport(req, records, _pair_witnesses(flags, gaps))
 
@@ -253,24 +267,27 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
 
 def count_tuple_translates(req: ScanRequest) -> ScanReport:
     """Integers n < checkpoint with n + h prime for every h in the tuple,
-    with Hardy-Littlewood predictions in ratio and integral form."""
+    with Hardy-Littlewood predictions in ratio and integral form.
+
+    One pass over the tuple tallies, for each n, how many n + h are prime,
+    in the narrowest unsigned dtype that holds len(H)."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
-    x = req.x_max
-    flags = prime_flags(x - 1 + diameter(H))
-    ok = np.ones(max(x - 1, 0), dtype=bool)  # index i covers n = i + 1
+    k, x = len(H), req.x_max
+    flags = prime_flags(x - 1 + diameter(H)).view(np.uint8)
+    tallies = np.zeros(max(x - 1, 0), dtype=np.min_scalar_type(k))  # index i: n = i + 1
     for h in H:
-        ok &= flags[1 + h : x + h]
-    hits = np.flatnonzero(ok) + 1
-    counts = _counts_from_positions(hits, req.checkpoints, strict=True)
+        tallies += flags[1 + h : x + h]
     at_least = None
     if req.min_prime_count is not None:
-        tallies = np.zeros(max(x - 1, 0), dtype=np.int16)
-        for h in H:
-            tallies += flags[1 + h : x + h]
         at_least_hits = np.flatnonzero(tallies >= req.min_prime_count) + 1
         at_least = _counts_from_positions(at_least_hits, req.checkpoints, strict=True)
+    # flatnonzero is several times faster on bool than on integers; the
+    # bool result overwrites the tallies' first len(tallies) bytes.
+    all_prime = np.equal(tallies, k, out=tallies.view(bool)[: len(tallies)])
+    hits = np.flatnonzero(all_prime) + 1
+    counts = _counts_from_positions(hits, req.checkpoints, strict=True)
     admissible = bool(is_admissible(H))
     records = []
     for i, c in enumerate(req.checkpoints):
@@ -297,19 +314,13 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(records), witnesses)
 
 
-def run_scan(req: ScanRequest, threads: int = 1) -> ScanReport:
-    """Run the request's mode; `threads` reaches only the per-gap pairs kernel."""
-    _check_threads(threads)
+def run_scan(req: ScanRequest) -> ScanReport:
+    """Run the request's mode."""
     if req.mode == MODE_PAIRS:
-        return count_smooth_gap_pairs(req, threads)
+        return count_smooth_gap_pairs(req)
     if req.mode == MODE_CONSECUTIVE:
         return count_consecutive_smooth_gap_pairs(req)
     return count_tuple_translates(req)
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _pair_witnesses(flags: np.ndarray, gaps: list[int]):

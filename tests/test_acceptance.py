@@ -133,7 +133,7 @@ def test_criterion_6_empirical_hl_agreement():
     )
 
 
-def test_criterion_7_scan_oracle_equivalence():
+def test_criterion_7_scan_oracle_equivalence(monkeypatch):
     x = 10**4
     for y in (2, 3, 5, 47):
         pairs = run_scan(ScanRequest(x, "pairs", y=y)).records[0].count
@@ -144,14 +144,16 @@ def test_criterion_7_scan_oracle_equivalence():
         req = ScanRequest(x, "tuple-translates", tuple=IntegerTuple(elements))
         assert run_scan(req).records[0].count == brute_translate_count(x, elements)
     requests = [
+        ScanRequest(x, "pairs", y=2, checkpoints=(100, x)),
         ScanRequest(x, "pairs", y=5, checkpoints=(100, x)),
         ScanRequest(x, "consecutive-pairs", y=3),
         ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 2, 6))),
     ]
     for req in requests:
         reference = scan_report_json(run_scan(req))
-        for threads in (1, 3):
-            assert scan_report_json(run_scan(req, threads)) == reference
+        for cpus in (1, 3):
+            monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+            assert scan_report_json(run_scan(req)) == reference
     report(7, "all scan modes equal brute force at 1e4; reports byte-stable")
 
 

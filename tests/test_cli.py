@@ -182,8 +182,23 @@ def test_scan_csv(capsys):
         "hl_ratio_prediction",
         "hl_integral_prediction",
         "ratio",
+        "at_least_m_count",
     ]
     assert rows[1][:2] == ["10", "4"]
+    assert rows[1][5] == ""
+
+
+def test_scan_csv_at_least(capsys):
+    args = ("scan", "tuple-translates", "100", "--tuple-file", "(0,2,6)", "--at-least", "2")
+    code, out, _ = invoke(capsys, *args, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    _, out, _ = invoke(capsys, *args)
+    records = json.loads(out)["records"]
+    assert [row["at_least_m_count"] for row in rows] == [
+        str(r["at_least_m_count"]) for r in records
+    ]
+    assert rows[0]["count"] == str(records[0]["count"])
 
 
 def test_scan_translates_inline_tuple(capsys):
@@ -196,11 +211,21 @@ def test_scan_translates_inline_tuple(capsys):
     assert payload["records"][0]["hl_integral_prediction"] > 0
 
 
-def test_scan_byte_stable(capsys):
-    args = ("scan", "consecutive-pairs", "500", "--y", "3")
-    _, first, _ = invoke(capsys, *args)
-    _, second, _ = invoke(capsys, *args, "--threads", "4")
-    assert first == second
+def test_scan_byte_stable(capsys, monkeypatch):
+    for mode in ("pairs", "consecutive-pairs"):
+        args = ("scan", mode, "500", "--y", "3")
+        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 1)
+        _, first, _ = invoke(capsys, *args)
+        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 4)
+        _, second, _ = invoke(capsys, *args)
+        assert first == second
+
+
+def test_scan_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["scan", "pairs", "100", "--threads", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_missing_tuple_flag(capsys):
@@ -222,7 +247,8 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
     assert code == EXIT_OK
     # enough for the flag table, too little for the transform buffers
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**6))
-    code, out, _ = invoke(capsys, *args, "--threads", "2")
+    monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 2)
+    code, out, _ = invoke(capsys, *args)
     assert code == EXIT_OK
     assert out == reference
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**5))
@@ -243,9 +269,9 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
         ("tuple-translates", "100", "--tuple-file", "(0,2)", "--y", "5"),
         ("pairs", "100", "--tuple-file", "(0,2)"),
         ("consecutive-pairs", "100", "--tuple-file", "(0,2)"),
-        ("pairs", "100", "--threads", "0"),
-        ("consecutive-pairs", "100", "--threads", "-3"),
-        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--threads", "0"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--at-least", "0"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--at-least", "-4"),
+        ("tuple-translates", "100", "--tuple-file", "(0,2)", "--at-least", "9"),
     ],
 )
 def test_scan_rejects_ignored_flags(capsys, argv):

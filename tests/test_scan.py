@@ -15,7 +15,7 @@ from smoothgap.scan import (
     count_tuple_translates,
     run_scan,
 )
-from smoothgap.tuples import IntegerTuple
+from smoothgap.tuples import IntegerTuple, construct_consecutive_prime_tuple, diameter
 
 from tests.oracles import (
     brute_consecutive_count,
@@ -54,20 +54,17 @@ def test_request_rejects_ignored_fields():
     for checkpoints in ((0, 10), (-3, 10)):
         with pytest.raises(ValueError):
             ScanRequest(x_max=10, mode="pairs", y=2, checkpoints=checkpoints)
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_threads_below_one_rejected(threads):
-    pairs = ScanRequest(x_max=100, mode="pairs", y=2)
-    with pytest.raises(ValueError):
-        count_smooth_gap_pairs(pairs, threads)
-    for req in (
-        pairs,
-        ScanRequest(x_max=100, mode="consecutive-pairs", y=2),
-        ScanRequest(x_max=100, mode="tuple-translates", tuple=IntegerTuple((0, 2))),
-    ):
+    for m in (0, -4, 3):
         with pytest.raises(ValueError):
-            run_scan(req, threads)
+            ScanRequest(
+                x_max=10, mode="tuple-translates", tuple=IntegerTuple((0, 2)),
+                min_prime_count=m,
+            )
+    for m in (1, 2):
+        ScanRequest(
+            x_max=10, mode="tuple-translates", tuple=IntegerTuple((0, 2)),
+            min_prime_count=m,
+        )
 
 
 def test_pairs_hand_examples():
@@ -122,8 +119,8 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one):
     flags = prime_flags(x)
     gaps = _gap_values(req, x - 2) if x > 2 else []
     assert _fft_pair_counts(flags, gaps, checkpoints) == expected
-    for threads in (1, 3):
-        assert _per_gap_pair_counts(flags, gaps, checkpoints, threads) == expected
+    for workers in (1, 3):
+        assert _per_gap_pair_counts(flags, gaps, checkpoints, workers) == expected
 
 
 def test_pairs_kernels_agree_across_blocks(monkeypatch):
@@ -133,8 +130,8 @@ def test_pairs_kernels_agree_across_blocks(monkeypatch):
     flags = prime_flags(req.x_max)
     gaps = _gap_values(req, req.x_max - 2)
     expected = _fft_pair_counts(flags, gaps, req.checkpoints)
-    for threads in (1, 2, 4):
-        assert _per_gap_pair_counts(flags, gaps, req.checkpoints, threads) == expected
+    for workers in (1, 2, 4):
+        assert _per_gap_pair_counts(flags, gaps, req.checkpoints, workers) == expected
 
 
 def test_pairs_all_gaps_smooth_is_binomial():
@@ -235,6 +232,25 @@ def test_translates_at_least_m():
     assert at_least == expected
 
 
+def test_translates_tuple_wider_than_a_byte():
+    # 256 elements: the tallies no longer fit uint8
+    H = construct_consecutive_prime_tuple(256)
+    x = 3000
+    flags = simple_sieve(x + diameter(H))
+    tallies = [sum(flags[n + h] for h in H.elements) for n in range(x)]
+    for m in (1, 128, 255, 256):
+        req = ScanRequest(
+            x, "tuple-translates", tuple=H, checkpoints=(300, x), min_prime_count=m
+        )
+        report = count_tuple_translates(req)
+        for record in report.records:
+            c = record.checkpoint
+            assert record.at_least_m_count == sum(t >= m for t in tallies[1:c])
+            assert record.count == sum(t == 256 for t in tallies[1:c])
+        # the first 256 primes above 256 start at 257
+        assert report.witnesses == ((257,),)
+
+
 def test_counts_monotone():
     counts_x = [
         run_scan(ScanRequest(x, "pairs", y=3)).records[0].count
@@ -267,12 +283,15 @@ def test_checkpoint_consistency():
         ScanRequest(3000, "pairs", y=5, checkpoints=(100, 3000)),
         ScanRequest(3000, "consecutive-pairs", y=3),
         ScanRequest(3000, "tuple-translates", tuple=IntegerTuple((0, 2, 6))),
+        ScanRequest(3000, "pairs", y=2, checkpoints=(100, 3000)),
     ],
 )
-def test_reports_byte_identical_across_knobs(req):
-    reference = scan_report_json(run_scan(req, threads=1))
-    for threads in (2, 4):
-        assert scan_report_json(run_scan(req, threads)) == reference
+def test_reports_byte_identical_across_knobs(req, monkeypatch):
+    monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 1)
+    reference = scan_report_json(run_scan(req))
+    for cpus in (2, 4):
+        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        assert scan_report_json(run_scan(req)) == reference
 
 
 def test_pair_witnesses_ordering():
