@@ -81,6 +81,14 @@ def load_tuples(arg: str) -> list[tuples.IntegerTuple]:
     return [parse_tuple_line(arg)]
 
 
+def load_one_tuple(arg: str) -> tuples.IntegerTuple:
+    """The one tuple of a file or inline literal, for commands that take one."""
+    found = load_tuples(arg)
+    if len(found) > 1:
+        raise ValueError(f"{arg} holds {len(found)} tuples; give one")
+    return found[0]
+
+
 def render_tuple(H: tuples.IntegerTuple) -> str:
     return ",".join(str(h) for h in H)
 
@@ -136,15 +144,13 @@ def cmd_verify(args) -> int:
             entry["rough_cofactor"] = check.cofactor
             all_ok &= check.smooth
         if args.witness:
-            if len(H) >= 2 and tuples.is_admissible(H):
+            try:
                 pair, z = tuples.find_smoothness_witness(H)
-                entry["pigeonhole_pair"] = list(pair)
-                entry["pigeonhole_prime"] = z
-            else:
+            except ValueError:
                 # pigeonhole guarantee needs an admissible tuple, k >= 2
-                entry["pigeonhole_pair"] = None
-                entry["pigeonhole_prime"] = None
-                all_ok = False
+                pair, z, all_ok = None, None, False
+            entry["pigeonhole_pair"] = None if pair is None else list(pair)
+            entry["pigeonhole_prime"] = z
         results.append(entry)
     print(dump_json({"schema": SCHEMA, "results": results}))
     return EXIT_OK if all_ok else EXIT_NEGATIVE
@@ -197,7 +203,7 @@ def _scan_request(args) -> scan.ScanRequest:
         x_max=args.x,
         mode=args.mode,
         y=y,
-        tuple=None if args.tuple_file is None else load_tuples(args.tuple_file)[0],
+        tuple=None if args.tuple_file is None else load_one_tuple(args.tuple_file),
         checkpoints=checkpoints,
         include_gap_one=not args.exclude_gap_one,
         min_prime_count=args.at_least,
@@ -264,37 +270,38 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------- constants
 
 def cmd_constants(args) -> int:
+    if args.km_table == (args.singular_series is not None):
+        raise ValueError("constants takes one of --km-table and --singular-series")
+    if args.km_table and args.cutoff is not None:
+        raise ValueError("--cutoff applies to --singular-series only")
+    if args.singular_series is not None and args.format == "csv":
+        raise ValueError("--format csv applies to --km-table only")
     if args.km_table:
         rows = [
             {"m": e.m, "k_m": e.k_m, "y_m": e.y_m, "conditional": e.conditional}
             for e in constants.km_table()
         ]
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["m", "k_m", "y_m", "conditional"])
-            for r in rows:
-                writer.writerow([r["m"], r["k_m"], r["y_m"], r["conditional"]])
-            sys.stdout.write(buf.getvalue())
+            writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
         else:
             print(dump_json({"schema": SCHEMA, "entries": rows}))
         return EXIT_OK
-    if args.singular_series is not None:
-        H = load_tuples(args.singular_series)[0]
-        est = constants.singular_series(H, args.cutoff)
-        payload = {
-            "schema": SCHEMA,
-            "tuple": _tuple_json(H),
-            "value": fmt_float(est.value),
-            "k": est.k,
-            "prime_cutoff": est.prime_cutoff,
-            "tail_magnitude": fmt_float(est.tail_magnitude),
-            "admissible": est.admissible,
-        }
-        print(dump_json(payload))
-        return EXIT_OK
-    print("constants: use --km-table or --singular-series", file=sys.stderr)
-    return EXIT_USAGE
+    H = load_one_tuple(args.singular_series)
+    cutoff = constants.DEFAULT_PRIME_CUTOFF if args.cutoff is None else args.cutoff
+    est = constants.singular_series(H, cutoff)
+    payload = {
+        "schema": SCHEMA,
+        "tuple": _tuple_json(H),
+        "value": fmt_float(est.value),
+        "k": est.k,
+        "prime_cutoff": est.prime_cutoff,
+        "tail_magnitude": fmt_float(est.tail_magnitude),
+        "admissible": est.admissible,
+    }
+    print(dump_json(payload))
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------- main
@@ -343,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="k_m table and singular series")
     p.add_argument("--km-table", action="store_true")
     p.add_argument("--singular-series", metavar="TUPLE")
-    p.add_argument("--cutoff", type=int, default=constants.DEFAULT_PRIME_CUTOFF)
+    p.add_argument(
+        "--cutoff", type=int, help=f"singular series only (default {constants.DEFAULT_PRIME_CUTOFF})"
+    )
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_constants)
 

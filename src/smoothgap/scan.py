@@ -13,8 +13,8 @@ import numpy as np
 from ._sieve import SCAN_LIMIT, mem_budget, prime_flags
 from .constants import hl_prediction
 from .errors import CapacityError
-from .smoothness import is_smooth, smooth_numbers_up_to
-from .tuples import IntegerTuple, diameter, is_admissible
+from .smoothness import smooth_numbers_up_to
+from .tuples import IntegerTuple, diameter
 
 MAX_WITNESSES = 100
 
@@ -247,9 +247,8 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
         raise ValueError(f"expected mode {MODE_CONSECUTIVE!r}")
     primes = np.flatnonzero(prime_flags(req.x_max))
     gaps = np.diff(primes)
-    smooth_gap = np.zeros(int(gaps.max(initial=0)) + 1, dtype=bool)
-    for g in np.unique(gaps).tolist():
-        smooth_gap[g] = (g > 1 or req.include_gap_one) and bool(is_smooth(g, req.y))
+    smooth_gap = np.zeros(int(gaps.max(initial=1)) + 1, dtype=bool)
+    smooth_gap[_gap_values(req, len(smooth_gap) - 1)] = True
     mask = smooth_gap[gaps]
     upper = primes[1:][mask]  # pair counted once the larger member is in range
     records = tuple(
@@ -279,25 +278,24 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     tallies = np.zeros(max(x - 1, 0), dtype=np.min_scalar_type(k))  # index i: n = i + 1
     for h in H:
         tallies += flags[1 + h : x + h]
-    at_least = None
-    if req.min_prime_count is not None:
-        at_least_hits = np.flatnonzero(tallies >= req.min_prime_count) + 1
-        at_least = _counts_from_positions(at_least_hits, req.checkpoints, strict=True)
+    m = k if req.min_prime_count is None else req.min_prime_count
     # flatnonzero is several times faster on bool than on integers; the
     # bool result overwrites the tallies' first len(tallies) bytes.
-    all_prime = np.equal(tallies, k, out=tallies.view(bool)[: len(tallies)])
-    hits = np.flatnonzero(all_prime) + 1
+    enough = np.greater_equal(tallies, m, out=tallies.view(bool)[: len(tallies)])
+    hits = np.flatnonzero(enough) + 1
+    at_least = None
+    if req.min_prime_count is not None:
+        at_least = _counts_from_positions(hits, req.checkpoints, strict=True)
+    if m < k:  # keep the n with every n + h prime
+        for h in H:
+            hits = hits[flags[hits + h].view(bool)]
     counts = _counts_from_positions(hits, req.checkpoints, strict=True)
-    admissible = bool(is_admissible(H))
     records = []
     for i, c in enumerate(req.checkpoints):
         ratio_pred = integral_pred = ratio = None
         if c > 2:
-            if admissible:
-                ratio_pred = hl_prediction(H, float(c), "ratio-form")
-                integral_pred = hl_prediction(H, float(c), "integral-form")
-            else:
-                ratio_pred = integral_pred = 0.0
+            ratio_pred = hl_prediction(H, float(c), "ratio-form")
+            integral_pred = hl_prediction(H, float(c), "integral-form")
             if integral_pred > 0:
                 ratio = float(counts[i]) / integral_pred
         records.append(

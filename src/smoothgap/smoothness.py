@@ -6,7 +6,7 @@ An integer is y-smooth when its largest prime factor is at most y;
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 from ._sieve import mem_budget
@@ -36,6 +36,30 @@ class SmoothnessCheck:
         return self.smooth
 
 
+def _trial_divide(n: int, bound: int) -> tuple[int, list[tuple[int, int]], bool]:
+    """Divide n by each candidate d while d <= bound and d * d <= the
+    remaining cofactor. A composite d never divides, as its prime factors
+    are smaller and already divided out.
+
+    Returns the cofactor, the factors found, as (prime, exponent) with the
+    primes ascending, and whether the cofactor is proven 1 or prime.
+    """
+    m = n
+    factors: list[tuple[int, int]] = []
+    # 2, 3, then 6j - 1 and 6j + 1: every prime, and few composites
+    wheel = itertools.accumulate(itertools.cycle((2, 4)), initial=5)
+    for d in itertools.chain((2, 3), wheel):
+        if d > bound or d * d > m:
+            break
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+    return m, factors, d * d > m
+
+
 def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> SmoothnessCertificate:
     """Factor n by trial division.
 
@@ -44,40 +68,18 @@ def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> SmoothnessCerti
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    m = n
-    factors: list[tuple[int, int]] = []
-
-    def strip(p: int) -> None:
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-
-    strip(2)
-    strip(3)
-    d = 5
-    while d * d <= m and d <= trial_limit:
-        strip(d)
-        strip(d + 2)
-        d += 6
-    probabilistic = False
+    m, factors, proven = _trial_divide(n, trial_limit)
+    if not proven and not is_prime(m):
+        raise FactorBudgetError(n, m, trial_limit)
     if m > 1:
-        if d * d > m:
-            factors.append((m, 1))  # no factor <= sqrt(m): residual is prime
-        elif is_prime(m):
-            factors.append((m, 1))
-            probabilistic = m >= DETERMINISTIC_LIMIT
-        else:
-            raise FactorBudgetError(n, m, trial_limit)
+        factors.append((m, 1))
     lpf = factors[-1][0] if factors else None
-    return SmoothnessCertificate(n, tuple(factors), lpf, probabilistic)
+    return SmoothnessCertificate(n, tuple(factors), lpf, not proven and m >= DETERMINISTIC_LIMIT)
 
 
 def is_smooth(n: int, y: int) -> SmoothnessCheck:
-    """Membership test for the y-smooth integers, by repeated division.
+    """Membership test for the y-smooth integers, by trial division up to
+    min(y, sqrt(n)).
 
     Never factors the rough cofactor of a failing input.
     """
@@ -85,23 +87,13 @@ def is_smooth(n: int, y: int) -> SmoothnessCheck:
         raise ValueError(f"n must be positive, got {n}")
     if y < 2:
         raise ValueError(f"y must be at least 2, got {y}")
-    m = n
-    factors: list[tuple[int, int]] = []
-    for p in _primes_upto(y):
-        if p * p > m:
-            break
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    if 1 < m <= y:
-        # residual has no factor <= min(sqrt, y) below it, hence prime
-        factors.append((m, 1))
-        m = 1
-    if m != 1:
+    m, factors, _ = _trial_divide(n, y)
+    # An unproven cofactor has only prime factors above y; a proven one
+    # is 1 or prime.
+    if m > y:
         return SmoothnessCheck(False, None, m)
+    if m > 1:
+        factors.append((m, 1))
     lpf = factors[-1][0] if factors else None
     return SmoothnessCheck(True, SmoothnessCertificate(n, tuple(factors), lpf), None)
 
@@ -113,7 +105,7 @@ def smooth_numbers_up_to(y: int, bound: int) -> list[int]:
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     cap = mem_budget() // 8
-    primes = _primes_upto(y)
+    primes = _primes_upto(min(y, bound))
     out = [1]
     # Depth-first over factorizations by increasing prime: every smooth
     # number is reached once, and each node stops at its first prime that

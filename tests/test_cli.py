@@ -120,12 +120,21 @@ def test_verify_no_predicate(capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_diff_smooth_large_y(capsys):
+    code, out, _ = invoke(capsys, "verify", "0,2", "--diff-smooth", "10000000000")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["difference_smooth"] is True
+
+
 def test_search_smooth(capsys):
     code, out, _ = invoke(capsys, "search", "3", "--smooth", "3")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["diameter"] == 6
     assert payload["proven_minimal"] is True
+    code, out, _ = invoke(capsys, "search", "3", "--smooth", "10000000000")
+    assert code == EXIT_OK
+    assert json.loads(out)["tuple"] == [0, 2, 6]
 
 
 def test_search_certified_impossible(capsys):
@@ -211,6 +220,15 @@ def test_scan_translates_inline_tuple(capsys):
     assert payload["records"][0]["hl_integral_prediction"] > 0
 
 
+@pytest.mark.parametrize("mode", ["pairs", "consecutive-pairs"])
+def test_scan_large_y(capsys, mode):
+    # every gap below 1000 is 997-smooth
+    code, out, _ = invoke(capsys, "scan", mode, "1000", "--y", "10000000000")
+    assert code == EXIT_OK
+    _, reference, _ = invoke(capsys, "scan", mode, "1000", "--y", "997")
+    assert json.loads(out)["records"] == json.loads(reference)["records"]
+
+
 def test_scan_byte_stable(capsys, monkeypatch):
     for mode in ("pairs", "consecutive-pairs"):
         args = ("scan", mode, "500", "--y", "3")
@@ -281,6 +299,20 @@ def test_scan_rejects_ignored_flags(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_single_tuple_commands_reject_files_of_several(capsys, tmp_path):
+    path = tmp_path / "tuples.txt"
+    path.write_text("0,2\n0,2,6\n0,4,6\n", encoding="utf-8")
+    for argv in (
+        ("scan", "tuple-translates", "100", "--tuple-file", str(path)),
+        ("constants", "--singular-series", str(path)),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "3 tuples" in err
+
+
 def test_constants_km_table(capsys):
     code, out, _ = invoke(capsys, "constants", "--km-table")
     assert code == EXIT_OK
@@ -311,6 +343,21 @@ def test_constants_singular_series(capsys):
 def test_constants_no_flag(capsys):
     code, _, _ = invoke(capsys, "constants")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--singular-series", "0,2", "--format", "csv"),
+        ("--km-table", "--singular-series", "0,2"),
+        ("--km-table", "--cutoff", "7"),
+    ],
+)
+def test_constants_rejects_ignored_flags(capsys, argv):
+    code, out, err = invoke(capsys, "constants", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_round_trip_construct_verify(capsys):

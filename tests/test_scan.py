@@ -6,6 +6,7 @@ from smoothgap.errors import CapacityError
 from smoothgap._sieve import prime_flags
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
+    MAX_WITNESSES,
     ScanRequest,
     _fft_pair_counts,
     _gap_values,
@@ -192,6 +193,15 @@ def test_pairs_few_gaps_take_per_gap_kernel(monkeypatch):
     assert report.records[0].count == expected
 
 
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 1000])
+@pytest.mark.parametrize("gap_one", [True, False])
+def test_consecutive_small_x_match_oracle(x, gap_one):
+    req = ScanRequest(x, "consecutive-pairs", y=3, include_gap_one=gap_one)
+    assert count_consecutive_smooth_gap_pairs(req).records[
+        0
+    ].count == brute_consecutive_count(x, 3, gap_one)
+
+
 @pytest.mark.parametrize("y", [2, 3, 5, 47])
 def test_consecutive_match_oracle(y):
     req = ScanRequest(2000, "consecutive-pairs", y=y)
@@ -213,6 +223,8 @@ def test_translates_non_admissible():
     report = count_tuple_translates(req)
     assert report.records[0].count == 1  # only (3, 5, 7)
     assert report.records[0].hl_integral_prediction == 0.0
+    assert report.records[0].hl_ratio_prediction == 0.0
+    assert report.records[0].ratio is None
     assert report.witnesses == ((3,),)
 
 
@@ -230,6 +242,9 @@ def test_translates_at_least_m():
         1 for n in range(1, 1000) if sum(flags[n + h] for h in H.elements) >= 2
     )
     assert at_least == expected
+    all_prime = [n for n in range(1, 1000) if all(flags[n + h] for h in H.elements)]
+    assert exact == len(all_prime) == brute_translate_count(1000, H.elements)
+    assert report.witnesses == tuple((n,) for n in all_prime[:MAX_WITNESSES])
 
 
 def test_translates_tuple_wider_than_a_byte():

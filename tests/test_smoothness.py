@@ -29,6 +29,7 @@ def test_factorize_primorial():
     assert cert.factors[0] == (2, 1)
     assert cert.largest_prime_factor == 47
     assert not cert.probabilistic
+    assert factorize(PRIMORIAL_47, trial_limit=10**12) == cert
 
 
 def test_factorize_product_invariant():
@@ -47,6 +48,8 @@ def test_factorize_budget_error():
     with pytest.raises(FactorBudgetError) as exc:
         factorize(n, trial_limit=1000)
     assert exc.value.residual == n
+    # a residual with no factor <= trial_limit that passes Miller-Rabin is prime
+    assert factorize(12 * 1000003, trial_limit=1000).factors == ((2, 2), (3, 1), (1000003, 1))
 
 
 def test_factorize_domain():
@@ -67,6 +70,31 @@ def test_is_smooth_unit():
     for y in (2, 3, 47):
         assert is_smooth(1, y)
         assert is_smooth(1, y).certificate.factors == ()
+
+
+def test_is_smooth_large_y():
+    # y far above any prime table the package could hold
+    assert is_smooth(2, 10**10).certificate.factors == ((2, 1),)
+    assert is_smooth(2 * 9999999967, 10**10)
+    check = is_smooth(3 * 10000000019, 10**10)
+    assert not check
+    assert check.cofactor == 10000000019
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10**9),
+    y=st.one_of(
+        st.integers(min_value=2, max_value=100), st.integers(min_value=2, max_value=10**10)
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_is_smooth_matches_oracle_any_y(n, y):
+    check = is_smooth(n, y)
+    assert bool(check) == brute_is_smooth(n, y)
+    if check:
+        assert check.certificate.factors == factorize(n).factors
+    else:
+        assert n % check.cofactor == 0 and check.cofactor > y
 
 
 def test_is_smooth_certificate_attached():
@@ -91,6 +119,7 @@ def test_smooth_numbers_examples():
     assert smooth_numbers_up_to(2, 10) == [1, 2, 4, 8]
     assert len(smooth_numbers_up_to(5, 100)) == 34
     assert smooth_numbers_up_to(47, 20) == list(range(1, 21))
+    assert smooth_numbers_up_to(10**10, 100) == list(range(1, 101))
 
 
 @pytest.mark.parametrize("y", [2, 3, 5, 47])
