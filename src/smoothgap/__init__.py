@@ -8,13 +8,7 @@ from .constants import (
     singular_series,
 )
 from .errors import CapacityError, FactorBudgetError, TupleParseError
-from .primes import (
-    PrimeTable,
-    is_prime,
-    largest_prime_leq,
-    primorial,
-    sieve_primes,
-)
+from .primes import is_prime, largest_prime_leq, primorial
 from .scan import (
     ScanReport,
     ScanRequest,
@@ -53,7 +47,6 @@ __all__ = [
     "FactorBudgetError",
     "IntegerTuple",
     "KmEntry",
-    "PrimeTable",
     "ScanReport",
     "ScanRequest",
     "SearchResult",
@@ -81,7 +74,6 @@ __all__ = [
     "run_scan",
     "search_min_diameter_admissible",
     "search_min_diameter_difference_smooth",
-    "sieve_primes",
     "singular_series",
     "smooth_numbers_up_to",
 ]

@@ -125,8 +125,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if not (args.admissible or args.diff_smooth is not None or args.witness):
-        print("verify: select at least one predicate", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify needs --admissible, --diff-smooth or --witness")
     results = []
     all_ok = True
     for H in load_tuples(args.tuple):
@@ -254,12 +253,7 @@ def scan_report_csv(report: scan.ScanReport) -> str:
 
 
 def cmd_scan(args) -> int:
-    try:
-        req = _scan_request(args)
-    except ValueError as e:
-        print(f"scan: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = scan.run_scan(req)
+    report = scan.run_scan(_scan_request(args))
     if args.format == "csv":
         sys.stdout.write(scan_report_csv(report))
     else:

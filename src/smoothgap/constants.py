@@ -98,23 +98,20 @@ def _cached_series_value(elements: tuple[int, ...], prime_cutoff: int) -> float:
     return singular_series(IntegerTuple(elements), prime_cutoff).value
 
 
-def hl_prediction(
-    H: IntegerTuple,
-    x: float,
-    mode: str = "integral-form",
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-) -> float:
+def hl_prediction(H: IntegerTuple, x: float, mode: str = "integral-form") -> float:
     """Predicted count of n < x with n + H entirely prime.
 
     ratio-form is G * x / (log x)^k; integral-form is G * int_2^x dt/(log t)^k,
-    asymptotically equivalent but far closer at desk scale.
+    asymptotically equivalent but far closer at desk scale. G is the singular
+    series over the primes up to DEFAULT_PRIME_CUTOFF, or up to k or
+    diameter + 1 where either is larger.
     """
     if x <= 2:
         raise ValueError(f"x must exceed 2, got {x}")
     if mode not in ("ratio-form", "integral-form"):
         raise ValueError(f"unknown mode {mode!r}")
     k = len(H)
-    cutoff = max(prime_cutoff, k, diameter(H) + 1)
+    cutoff = max(DEFAULT_PRIME_CUTOFF, k, diameter(H) + 1)
     g = _cached_series_value(H.canonical().elements, cutoff)
     if g == 0.0:
         return 0.0

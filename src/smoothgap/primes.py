@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -14,37 +12,20 @@ from ._sieve import prime_flags
 
 # is_prime is exact below this bound (fixed witness set); probabilistic above.
 DETERMINISTIC_LIMIT = 1 << 64
-DEFAULT_MR_ROUNDS = 40
+# Miller-Rabin bases tried at or above DETERMINISTIC_LIMIT.
+MR_ROUNDS = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sufficient witness set for all n < 2^64 (miller-rabin.appspot.com).
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes in [2, limit], ascending. Immutable and shareable."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def __contains__(self, n: int) -> bool:
-        if not 2 <= n <= self.limit:
-            return False
-        i = bisect.bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes up to `limit` inclusive, from the package's one sieve."""
-    return PrimeTable(limit, tuple(np.flatnonzero(prime_flags(limit)).tolist()))
-
-
 @lru_cache(maxsize=256)
 def _primes_upto(limit: int) -> tuple[int, ...]:
-    """The package's one cache of prime lists, for the small limits of
-    primorials, smoothness checks and admissibility."""
-    return sieve_primes(limit).primes
+    """All primes up to `limit` inclusive, ascending, from the package's one
+    sieve: the one cache of prime lists, for the small limits of primorials,
+    smoothness checks and admissibility."""
+    return tuple(np.flatnonzero(prime_flags(limit)).tolist())
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -61,11 +42,11 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Exact for n < 2^64; for larger n the answer is probabilistic with
-    `rounds` pseudo-random bases (seeded by n, so calls are reproducible).
+    MR_ROUNDS pseudo-random bases (seeded by n, so calls are reproducible).
     """
     if n < 2:
         return False
@@ -83,7 +64,7 @@ def is_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
         bases = _WITNESSES_64
     else:
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(MR_ROUNDS)]
     return not any(_mr_composite_witness(n, a, d, s) for a in bases)
 
 

@@ -249,18 +249,16 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     gaps = np.diff(primes)
     smooth_gap = np.zeros(int(gaps.max(initial=1)) + 1, dtype=bool)
     smooth_gap[_gap_values(req, len(smooth_gap) - 1)] = True
-    mask = smooth_gap[gaps]
-    upper = primes[1:][mask]  # pair counted once the larger member is in range
+    upper = primes[1:][smooth_gap[gaps]]  # pair counted once the larger member is in range
     records = tuple(
         CheckpointRecord(int(c), int(n))
         for c, n in zip(
             req.checkpoints, _counts_from_positions(upper, req.checkpoints, strict=False)
         )
     )
-    witnesses = tuple(
-        (int(q), int(p))
-        for q, p in zip(primes[:-1][mask][:MAX_WITNESSES], upper[:MAX_WITNESSES])
-    )
+    first = upper[:MAX_WITNESSES]
+    lower = primes[np.searchsorted(primes, first) - 1]  # the prime before each
+    witnesses = tuple((int(q), int(p)) for q, p in zip(lower, first))
     return ScanReport(req, records, witnesses)
 
 

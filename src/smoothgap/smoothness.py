@@ -14,6 +14,10 @@ from .errors import CapacityError, FactorBudgetError
 from .primes import DETERMINISTIC_LIMIT, _primes_upto, is_prime
 
 DEFAULT_TRIAL_LIMIT = 1_000_000
+# Peak bytes per element of smooth_numbers_up_to's result: a 32-byte int
+# above 2^30, its list slot with over-allocation, and the sort's scratch.
+# tracemalloc reads 44-45 at bounds 10^6 to 10^10 (CPython 3.11, x86-64).
+SMOOTH_BYTES_PER_ELEMENT = 48
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def smooth_numbers_up_to(y: int, bound: int) -> list[int]:
         raise ValueError(f"y must be at least 2, got {y}")
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    cap = mem_budget() // 8
+    cap = mem_budget() // SMOOTH_BYTES_PER_ELEMENT
     primes = _primes_upto(min(y, bound))
     out = [1]
     # Depth-first over factorizations by increasing prime: every smooth

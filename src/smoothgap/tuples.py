@@ -5,7 +5,6 @@ minimal-diameter searches."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
@@ -35,10 +34,6 @@ class IntegerTuple:
     def canonical(self) -> "IntegerTuple":
         """Translate so the least element is 0."""
         return self.translate(-self.elements[0])
-
-    @classmethod
-    def of(cls, elements: Iterable[int]) -> "IntegerTuple":
-        return cls(tuple(elements))
 
 
 @dataclass(frozen=True)
@@ -167,11 +162,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _admissibility_lower_bound(k: int) -> int:
-    # v_2 < 2 forces a single parity class, so gaps are >= 2 throughout.
-    return 2 * (k - 1)
-
-
 class _Positions:
     """Bit tables over the positions 0..n for the primes ps, and y if given.
 
@@ -291,7 +281,8 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
     table = None
     nodes = 0
     try:
-        for d in range(_admissibility_lower_bound(k), diameter(incumbent) + 1):
+        # v_2 < 2 forces a single parity class, so gaps are >= 2 throughout.
+        for d in range(2 * (k - 1), diameter(incumbent) + 1):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted

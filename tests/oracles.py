@@ -97,16 +97,20 @@ def brute_pair_count(x: int, y: int, include_gap_one: bool = True) -> int:
     return count
 
 
-def brute_consecutive_count(x: int, y: int, include_gap_one: bool = True) -> int:
+def brute_consecutive_pairs(x: int, y: int, include_gap_one: bool = True) -> list:
     primes = trial_primes(x)
-    count = 0
+    pairs = []
     for q, p in zip(primes, primes[1:]):
         gap = p - q
         if gap == 1 and not include_gap_one:
             continue
         if brute_is_smooth(gap, y):
-            count += 1
-    return count
+            pairs.append((q, p))
+    return pairs
+
+
+def brute_consecutive_count(x: int, y: int, include_gap_one: bool = True) -> int:
+    return len(brute_consecutive_pairs(x, y, include_gap_one))
 
 
 def brute_translate_count(x: int, elements) -> int:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,23 @@ def test_json_byte_stable_across_runs(capsys):
     _, first, _ = invoke(capsys, "constants", "--singular-series", "0,2,6")
     _, second, _ = invoke(capsys, "constants", "--singular-series", "0,2,6")
     assert first == second
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def entry(*argv, **extra_env):
+        return subprocess.run(
+            [sys.executable, "-m", "smoothgap.cli", *argv],
+            capture_output=True, text=True, env=dict(env, **extra_env), timeout=60,
+        )
+
+    done = entry("construct", "primorial", "5")
+    assert (done.returncode, done.stdout) == (EXIT_OK, "0,30,60,90,120\n")
+    done = entry("scan", "tuple-translates", "100", "--y", "5")
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert len(done.stderr.strip().splitlines()) == 1
+    done = entry("scan", "pairs", "10000", "--y", "2", SMOOTHGAP_MEM_BUDGET="1000")
+    assert done.returncode == EXIT_BUDGET

@@ -2,12 +2,7 @@ import pytest
 
 from smoothgap._sieve import prime_flags
 from smoothgap.errors import CapacityError
-from smoothgap.primes import (
-    is_prime,
-    largest_prime_leq,
-    primorial,
-    sieve_primes,
-)
+from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
 from tests.oracles import simple_sieve, trial_is_prime, trial_primes
 
@@ -15,34 +10,22 @@ PRIMORIAL_47 = 614889782588491410
 
 
 def test_sieve_small():
-    assert sieve_primes(10).primes == (2, 3, 5, 7)
+    assert _primes_upto(10) == (2, 3, 5, 7)
 
 
 def test_sieve_counts():
-    assert len(sieve_primes(100).primes) == 25
-    assert len(sieve_primes(10**6).primes) == 78498
+    assert len(_primes_upto(100)) == 25
+    assert len(_primes_upto(10**6)) == 78498
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 97, 1000, 10**5])
 def test_sieve_matches_trial_division(limit):
-    assert list(sieve_primes(limit).primes) == trial_primes(limit)
-
-
-def test_prime_table_membership():
-    table = sieve_primes(1000)
-    for n in range(2, 1001):
-        assert (n in table) == trial_is_prime(n)
+    assert list(_primes_upto(limit)) == trial_primes(limit)
 
 
 def test_sieve_negative_limit():
     with pytest.raises(ValueError):
-        sieve_primes(-1)
-
-
-def test_sieve_capacity_gate(monkeypatch):
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
-    with pytest.raises(CapacityError):
-        sieve_primes(10**6)
+        _primes_upto(-1)
 
 
 def test_prime_flags_counts():

@@ -20,6 +20,7 @@ from smoothgap.tuples import IntegerTuple, construct_consecutive_prime_tuple, di
 
 from tests.oracles import (
     brute_consecutive_count,
+    brute_consecutive_pairs,
     brute_pair_count,
     brute_translate_count,
     simple_sieve,
@@ -197,17 +198,19 @@ def test_pairs_few_gaps_take_per_gap_kernel(monkeypatch):
 @pytest.mark.parametrize("gap_one", [True, False])
 def test_consecutive_small_x_match_oracle(x, gap_one):
     req = ScanRequest(x, "consecutive-pairs", y=3, include_gap_one=gap_one)
-    assert count_consecutive_smooth_gap_pairs(req).records[
-        0
-    ].count == brute_consecutive_count(x, 3, gap_one)
+    report = count_consecutive_smooth_gap_pairs(req)
+    pairs = brute_consecutive_pairs(x, 3, gap_one)
+    assert report.records[0].count == len(pairs)
+    assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
 
 
 @pytest.mark.parametrize("y", [2, 3, 5, 47])
 def test_consecutive_match_oracle(y):
     req = ScanRequest(2000, "consecutive-pairs", y=y)
-    assert count_consecutive_smooth_gap_pairs(req).records[
-        0
-    ].count == brute_consecutive_count(2000, y)
+    report = count_consecutive_smooth_gap_pairs(req)
+    pairs = brute_consecutive_pairs(2000, y)
+    assert report.records[0].count == len(pairs)
+    assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
 
 
 @pytest.mark.parametrize("elements", [(0, 2), (0, 2, 6), (0, 4, 6)])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgap.errors import FactorBudgetError
+from smoothgap.errors import CapacityError, FactorBudgetError
 from smoothgap.smoothness import factorize, is_smooth, smooth_numbers_up_to
 
 from tests.oracles import brute_is_smooth
@@ -120,6 +120,14 @@ def test_smooth_numbers_examples():
     assert len(smooth_numbers_up_to(5, 100)) == 34
     assert smooth_numbers_up_to(47, 20) == list(range(1, 21))
     assert smooth_numbers_up_to(10**10, 100) == list(range(1, 101))
+
+
+def test_smooth_numbers_budget_counts_list_bytes(monkeypatch):
+    n = len(smooth_numbers_up_to(47, 10**6))  # Psi(10^6, 47) = 32,876
+    # 20 bytes per element: over 8, under the ~45 a list of n Python ints takes
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(20 * n))
+    with pytest.raises(CapacityError):
+        smooth_numbers_up_to(47, 10**6)
 
 
 @pytest.mark.parametrize("y", [2, 3, 5, 47])
