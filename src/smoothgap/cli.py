@@ -130,8 +130,8 @@ def cmd_verify(args) -> int:
     all_ok = True
     for H in load_tuples(args.tuple):
         entry: dict = {"tuple": _tuple_json(H)}
+        report = tuples.is_admissible(H) if args.admissible or args.witness else None
         if args.admissible:
-            report = tuples.is_admissible(H)
             entry["admissible"] = report.admissible
             entry["obstruction"] = report.obstruction
             all_ok &= report.admissible
@@ -143,9 +143,9 @@ def cmd_verify(args) -> int:
             entry["rough_cofactor"] = check.cofactor
             all_ok &= check.smooth
         if args.witness:
-            try:
-                pair, z = tuples.find_smoothness_witness(H)
-            except ValueError:
+            if report.admissible and len(H) >= 2:
+                pair, z = tuples._collision(H)  # find_smoothness_witness, checked once
+            else:
                 # pigeonhole guarantee needs an admissible tuple, k >= 2
                 pair, z, all_ok = None, None, False
             entry["pigeonhole_pair"] = None if pair is None else list(pair)
@@ -283,7 +283,7 @@ def cmd_constants(args) -> int:
             print(dump_json({"schema": SCHEMA, "entries": rows}))
         return EXIT_OK
     H = load_one_tuple(args.singular_series)
-    cutoff = constants.DEFAULT_PRIME_CUTOFF if args.cutoff is None else args.cutoff
+    cutoff = constants.default_prime_cutoff(H) if args.cutoff is None else args.cutoff
     est = constants.singular_series(H, cutoff)
     payload = {
         "schema": SCHEMA,
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--km-table", action="store_true")
     p.add_argument("--singular-series", metavar="TUPLE")
     p.add_argument(
-        "--cutoff", type=int, help=f"singular series only (default {constants.DEFAULT_PRIME_CUTOFF})"
+        "--cutoff", type=int, help="singular series only (default max(10^6, k, diameter + 1))"
     )
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_constants)

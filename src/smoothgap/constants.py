@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._sieve import prime_flags
 from .primes import largest_prime_leq
-from .tuples import IntegerTuple, diameter, residue_coverage
+from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
 DEFAULT_PRIME_CUTOFF = 10**6
 
@@ -40,13 +40,9 @@ class KmEntry:
     conditional: bool
 
 
-def _coverage_counts(H: IntegerTuple, primes: np.ndarray) -> np.ndarray:
-    """v_p for each prime, ascending; for p > diameter(H) the elements are
-    distinct mod p."""
-    v = np.full(primes.shape, len(H), dtype=np.int64)
-    small = primes[primes <= diameter(H)]
-    v[: len(small)] = [residue_coverage(H, int(p)) for p in small]
-    return v
+def default_prime_cutoff(H: IntegerTuple) -> int:
+    """DEFAULT_PRIME_CUTOFF, or k or diameter + 1 where either is larger."""
+    return max(DEFAULT_PRIME_CUTOFF, len(H), diameter(H) + 1)
 
 
 def _tail_magnitude(k: int, cutoff: int) -> float:
@@ -68,12 +64,18 @@ def singular_series(H: IntegerTuple, prime_cutoff: int) -> SingularSeriesEstimat
         raise ValueError(
             f"prime_cutoff {prime_cutoff} must be >= k = {k} and >= diameter + 1 = {d + 1}"
         )
-    primes = np.flatnonzero(prime_flags(prime_cutoff)).astype(np.float64)
-    v = _coverage_counts(H, primes).astype(np.float64)
     tail = _tail_magnitude(k, prime_cutoff)
-    if np.any(v == primes):
+    if not is_admissible(H):
         return SingularSeriesEstimate(0.0, k, prime_cutoff, tail, False)
-    log_terms = np.log1p(-v / primes) - k * np.log1p(-1.0 / primes)
+    primes = np.flatnonzero(prime_flags(prime_cutoff)).astype(np.float64)
+    small = primes[: np.searchsorted(primes, d, side="right")]
+    head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
+    k_logs = k * np.log1p(-1.0 / primes)
+    # for p > diameter(H) the elements are distinct mod p, so v_p = k
+    log_terms = np.divide(-float(k), primes, out=primes)
+    log_terms[: len(head)] = head
+    np.log1p(log_terms, out=log_terms)
+    log_terms -= k_logs
     value = float(math.exp(float(np.sum(log_terms))))
     return SingularSeriesEstimate(value, k, prime_cutoff, tail, True)
 
@@ -103,16 +105,14 @@ def hl_prediction(H: IntegerTuple, x: float, mode: str = "integral-form") -> flo
 
     ratio-form is G * x / (log x)^k; integral-form is G * int_2^x dt/(log t)^k,
     asymptotically equivalent but far closer at desk scale. G is the singular
-    series over the primes up to DEFAULT_PRIME_CUTOFF, or up to k or
-    diameter + 1 where either is larger.
+    series over the primes up to default_prime_cutoff(H).
     """
     if x <= 2:
         raise ValueError(f"x must exceed 2, got {x}")
     if mode not in ("ratio-form", "integral-form"):
         raise ValueError(f"unknown mode {mode!r}")
     k = len(H)
-    cutoff = max(DEFAULT_PRIME_CUTOFF, k, diameter(H) + 1)
-    g = _cached_series_value(H.canonical().elements, cutoff)
+    g = _cached_series_value(H.canonical().elements, default_prime_cutoff(H))
     if g == 0.0:
         return 0.0
     if mode == "ratio-form":

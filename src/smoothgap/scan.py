@@ -4,6 +4,7 @@ counts, and prime tuple-translate counts with Hardy-Littlewood predictions."""
 from __future__ import annotations
 
 import bisect
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ FFT_ROUNDOFF_GUARD = 0.25
 # one byte of the per-gap AND-and-count, measured with numpy 2 on x86-64
 # (about 4 ns against 0.17 ns).
 FFT_COST_PER_BYTE = 24
-# Bytes of the flag table that the per-gap kernel ANDs in one numpy call.
-PER_GAP_BLOCK = 1 << 20
+# Integers n that the windowed kernel combines in one numpy call.
+WINDOW = 1 << 20
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -114,9 +115,37 @@ def _gap_values(req: ScanRequest, limit: int) -> list[int]:
     return [s for s in smooth_numbers_up_to(req.y, limit) if s >= start]
 
 
-def _counts_from_positions(positions: np.ndarray, checkpoints, strict: bool):
-    side = "left" if strict else "right"
-    return np.searchsorted(positions, np.asarray(checkpoints), side=side)
+def _translate_counts(flags: np.ndarray, H, ends, m: int | None, first: int):
+    """For each of the ascending ends e, the count of n in [1, e) with n + h
+    prime for every h in H, and the count of n with at least m of them prime
+    (the same count when m is None or len(H)); and the first `first` n of
+    the first kind. flags must reach ends[-1] - 1 + max(H).
+
+    It walks n in windows of WINDOW integers, ANDing the shifted slices of
+    flags into one buffer and counting it. Only the at-least census fills a
+    tally window, in the narrowest unsigned dtype that holds len(H)."""
+    census = m is not None and m < len(H)
+    buf = np.empty(min(WINDOW, len(flags)), dtype=bool)
+    counts, at_least, hits = [], [], []
+    total, enough, lo = 0, 0, 1
+    for e in ends:
+        for a in range(lo, e, len(buf)):
+            b = min(a + len(buf), e)
+            both = flags[a + H[0] : b + H[0]]
+            for h in H[1:]:
+                both = np.logical_and(both, flags[a + h : b + h], out=buf[: b - a])
+            total += int(np.count_nonzero(both))
+            if len(hits) < first:
+                hits += (np.flatnonzero(both)[: first - len(hits)] + a).tolist()
+            if census:
+                tally = np.zeros(b - a, dtype=np.min_scalar_type(len(H)))
+                for h in H:
+                    tally += flags[a + h : b + h]
+                enough += int(np.count_nonzero(tally >= m))
+        lo = max(lo, e)
+        counts.append(total)
+        at_least.append(enough if census else total)
+    return counts, at_least, hits
 
 
 def _fft_length(n: int) -> int:
@@ -164,28 +193,17 @@ def _fft_pair_counts(flags: np.ndarray, gaps: list[int], checkpoints) -> list[in
 def _per_gap_pair_counts(
     flags: np.ndarray, gaps: list[int], checkpoints, workers: int
 ) -> list[int]:
-    """Pair counts at each checkpoint from one AND of the flag table with
-    itself shifted by s, per gap s, in PER_GAP_BLOCK-byte blocks, with the
-    gaps spread over `workers` threads: O(x) per gap and one block buffer
-    per thread beyond the flag table."""
-    edges = [c + 1 for c in checkpoints]
+    """Pair counts at each checkpoint from the windowed kernel once per gap
+    s, with H = (0, s) and ends c - s + 1: the pairs (q, q + s) with
+    q + s <= c. The gaps are spread over `workers` threads: O(x) per gap
+    and one window buffer per thread beyond the flag table."""
 
-    def count_gap(s: int) -> np.ndarray:
-        buf = np.empty(min(PER_GAP_BLOCK, len(flags)), dtype=bool)
-        counts = np.zeros(len(edges), dtype=np.int64)
-        total, lo = 0, s
-        for i, hi in enumerate(edges):
-            for a in range(lo, hi, len(buf)):
-                b = min(a + len(buf), hi)
-                both = np.logical_and(flags[a:b], flags[a - s : b - s], out=buf[: b - a])
-                total += int(np.count_nonzero(both))
-            lo = max(lo, hi)
-            counts[i] = total
-        return counts
+    def count_gap(s: int) -> list[int]:
+        return _translate_counts(flags, (0, s), [c - s + 1 for c in checkpoints], None, 0)[0]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(count_gap, gaps))
-    return [int(n) for n in sum(partials, np.zeros(len(edges), dtype=np.int64))]
+    return [int(n) for n in sum(partials, np.zeros(len(checkpoints), dtype=np.int64))]
 
 
 def _fft_is_cheaper(x: int, gaps: list[int], checkpoints) -> bool:
@@ -250,12 +268,8 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     smooth_gap = np.zeros(int(gaps.max(initial=1)) + 1, dtype=bool)
     smooth_gap[_gap_values(req, len(smooth_gap) - 1)] = True
     upper = primes[1:][smooth_gap[gaps]]  # pair counted once the larger member is in range
-    records = tuple(
-        CheckpointRecord(int(c), int(n))
-        for c, n in zip(
-            req.checkpoints, _counts_from_positions(upper, req.checkpoints, strict=False)
-        )
-    )
+    counts = np.searchsorted(upper, req.checkpoints, side="right")
+    records = tuple(CheckpointRecord(c, int(n)) for c, n in zip(req.checkpoints, counts))
     first = upper[:MAX_WITNESSES]
     lower = primes[np.searchsorted(primes, first) - 1]  # the prime before each
     witnesses = tuple((int(q), int(p)) for q, p in zip(lower, first))
@@ -266,48 +280,28 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     """Integers n < checkpoint with n + h prime for every h in the tuple,
     with Hardy-Littlewood predictions in ratio and integral form.
 
-    One pass over the tuple tallies, for each n, how many n + h are prime,
-    in the narrowest unsigned dtype that holds len(H)."""
+    With --at-least m, also the n with at least m of the n + h prime. One
+    pass of the windowed kernel over the flag table: nothing else it
+    allocates grows with x."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
-    k, x = len(H), req.x_max
-    flags = prime_flags(x - 1 + diameter(H)).view(np.uint8)
-    tallies = np.zeros(max(x - 1, 0), dtype=np.min_scalar_type(k))  # index i: n = i + 1
-    for h in H:
-        tallies += flags[1 + h : x + h]
-    m = k if req.min_prime_count is None else req.min_prime_count
-    # flatnonzero is several times faster on bool than on integers; the
-    # bool result overwrites the tallies' first len(tallies) bytes.
-    enough = np.greater_equal(tallies, m, out=tallies.view(bool)[: len(tallies)])
-    hits = np.flatnonzero(enough) + 1
-    at_least = None
-    if req.min_prime_count is not None:
-        at_least = _counts_from_positions(hits, req.checkpoints, strict=True)
-    if m < k:  # keep the n with every n + h prime
-        for h in H:
-            hits = hits[flags[hits + h].view(bool)]
-    counts = _counts_from_positions(hits, req.checkpoints, strict=True)
+    m = req.min_prime_count
+    flags = prime_flags(req.x_max - 1 + diameter(H))
+    counts, at_least, hits = _translate_counts(
+        flags, H.elements, req.checkpoints, m, MAX_WITNESSES
+    )
     records = []
-    for i, c in enumerate(req.checkpoints):
+    for c, count, enough in zip(req.checkpoints, counts, at_least):
         ratio_pred = integral_pred = ratio = None
         if c > 2:
             ratio_pred = hl_prediction(H, float(c), "ratio-form")
             integral_pred = hl_prediction(H, float(c), "integral-form")
             if integral_pred > 0:
-                ratio = float(counts[i]) / integral_pred
-        records.append(
-            CheckpointRecord(
-                int(c),
-                int(counts[i]),
-                ratio_pred,
-                integral_pred,
-                ratio,
-                None if at_least is None else int(at_least[i]),
-            )
-        )
-    witnesses = tuple((int(n),) for n in hits[:MAX_WITNESSES])
-    return ScanReport(req, tuple(records), witnesses)
+                ratio = count / integral_pred
+        at_least_m = None if m is None else enough
+        records.append(CheckpointRecord(c, count, ratio_pred, integral_pred, ratio, at_least_m))
+    return ScanReport(req, tuple(records), tuple((n,) for n in hits))
 
 
 def run_scan(req: ScanRequest) -> ScanReport:
@@ -322,8 +316,7 @@ def run_scan(req: ScanRequest) -> ScanReport:
 def _pair_witnesses(flags: np.ndarray, gaps: list[int]):
     """Earliest pairs (q, p) ordered by p then q ascending, capped."""
     out = []
-    for p in np.flatnonzero(flags):
-        p = int(p)
+    for p in itertools.compress(itertools.count(), flags):
         hi = bisect.bisect_right(gaps, p - 2)
         for s in gaps[hi - 1 :: -1] if hi else ():  # descending gap: ascending q
             q = p - s

@@ -144,11 +144,16 @@ def find_smoothness_witness(H: IntegerTuple) -> tuple[tuple[int, int], int]:
     returned pair (i, j) has z_k dividing h_j - h_i, which rules out
     difference l-smoothness for every l < z_k.
     """
-    k = len(H)
-    if k < 2:
+    if len(H) < 2:
         raise ValueError("need at least 2 elements for a collision")
     if not is_admissible(H):
         raise ValueError("tuple is not admissible; pigeonhole bound does not apply")
+    return _collision(H)
+
+
+def _collision(H: IntegerTuple) -> tuple[tuple[int, int], int]:
+    """find_smoothness_witness for an H already known admissible, k >= 2."""
+    k = len(H)
     z = largest_prime_leq(k)
     hs = H.elements
     for i in range(k):

@@ -107,6 +107,20 @@ def test_verify_witness_needs_admissible(capsys):
     assert json.loads(out)["results"][0]["pigeonhole_pair"] is None
 
 
+def test_verify_checks_admissibility_once(capsys, monkeypatch):
+    from smoothgap import tuples
+
+    calls = []
+    is_admissible = tuples.is_admissible
+    monkeypatch.setattr(tuples, "is_admissible", lambda H: calls.append(H) or is_admissible(H))
+    code, out, _ = invoke(capsys, "verify", "0,2,6,8,12", "--admissible", "--witness")
+    assert code == EXIT_OK
+    result = json.loads(out)["results"][0]
+    assert result["admissible"] is True
+    assert (result["pigeonhole_pair"], result["pigeonhole_prime"]) == ([1, 4], 5)  # 12 - 2 = 10
+    assert len(calls) == 1
+
+
 def test_verify_file_and_parse_error(capsys, tmp_path):
     good = tmp_path / "tuples.txt"
     good.write_text("# twin\n0,2\n", encoding="utf-8")
@@ -342,6 +356,19 @@ def test_constants_singular_series(capsys):
     payload = json.loads(out)
     assert payload["value"] == 0
     assert payload["admissible"] is False
+
+
+def test_constants_default_cutoff_covers_the_diameter(capsys):
+    # the default follows hl_prediction: max(10^6, k, diameter + 1)
+    code, out, _ = invoke(capsys, "constants", "--singular-series", "0,2,1000002")
+    assert code == EXIT_OK
+    assert json.loads(out)["prime_cutoff"] == 1000003
+    code, out, _ = invoke(capsys, "constants", "--singular-series", "0,2")
+    assert json.loads(out)["prime_cutoff"] == 10**6
+    code, out, _ = invoke(
+        capsys, "constants", "--singular-series", "0,2,1000002", "--cutoff", "1000002"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 def test_constants_no_flag(capsys):

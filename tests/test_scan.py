@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +18,7 @@ from smoothgap.scan import (
     _fft_pair_counts,
     _gap_values,
     _per_gap_pair_counts,
+    _translate_counts,
     count_consecutive_smooth_gap_pairs,
     count_smooth_gap_pairs,
     count_tuple_translates,
@@ -126,8 +134,8 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one):
 
 
 def test_pairs_kernels_agree_across_blocks(monkeypatch):
-    # blocks smaller than the gaps and not aligned with the checkpoints
-    monkeypatch.setattr("smoothgap.scan.PER_GAP_BLOCK", 37)
+    # windows smaller than the gaps and not aligned with the checkpoints
+    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
     req = ScanRequest(5000, "pairs", y=7, checkpoints=(30, 31, 1000, 4999, 5000))
     flags = prime_flags(req.x_max)
     gaps = _gap_values(req, req.x_max - 2)
@@ -250,8 +258,10 @@ def test_translates_at_least_m():
     assert report.witnesses == tuple((n,) for n in all_prime[:MAX_WITNESSES])
 
 
-def test_translates_tuple_wider_than_a_byte():
-    # 256 elements: the tallies no longer fit uint8
+def test_translates_tuple_wider_than_a_byte(monkeypatch):
+    # 256 elements: the tallies no longer fit uint8; witnesses and
+    # checkpoints inside windows of 37 integers
+    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
     H = construct_consecutive_prime_tuple(256)
     x = 3000
     flags = simple_sieve(x + diameter(H))
@@ -267,6 +277,83 @@ def test_translates_tuple_wider_than_a_byte():
             assert record.count == sum(t == 256 for t in tallies[1:c])
         # the first 256 primes above 256 start at 257
         assert report.witnesses == ((257,),)
+
+
+def brute_translates(H, ends, m, first):
+    """_translate_counts' results by a plain loop over every n."""
+    top = max(ends)
+    flags = simple_sieve(max(top, 1) + max(H))
+    tallies = [sum(flags[n + h] for h in H) for n in range(top)]
+    below = [tallies[1 : max(e, 1)] for e in ends]  # the n in [1, e)
+    counts = [sum(t == len(H) for t in ts) for ts in below]
+    at_least = counts if m is None else [sum(t >= m for t in ts) for ts in below]
+    hits = [n for n in range(1, top) if tallies[n] == len(H)][:first]
+    return counts, at_least, hits
+
+
+@pytest.mark.parametrize(
+    "H, ends",
+    [
+        ((0,), (1, 2, 3)),
+        ((0, 2), (1,)),
+        ((0, 2), (2,)),
+        ((0, 2), (3,)),
+        ((0, 5), (-3, 0, 1, 40)),  # per-gap ends c - s + 1 may be below 1
+        ((0, 2), (5, 36, 37, 38, 74, 75, 5000)),  # the 100th twin is 3821
+        ((0, 2, 6), (40, 1000, 3000)),
+        ((0, 2, 4), (10, 100)),
+        ((0, 4, 6, 10, 12, 16), (2000,)),
+    ],
+)
+def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
+    # windows of 37 integers: checkpoints fall inside and on window edges
+    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
+    flags = prime_flags(max(max(ends), 1) + max(H))
+    for m in (None, 1, max(1, len(H) - 1), len(H)):
+        for first in (0, 3, MAX_WITNESSES):
+            got = _translate_counts(flags, H, ends, m, first)
+            assert got == brute_translates(H, ends, m, first)
+
+
+def test_translates_peak_allocation_is_the_flag_table():
+    # nothing but the flag table grows with x: no tally, no hit positions
+    H = IntegerTuple((0, 2, 6, 8))
+    x = 3 * 10**7
+    req = ScanRequest(x, "tuple-translates", tuple=H, min_prime_count=3)
+    tracemalloc.start()
+    try:
+        count_tuple_translates(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (x + diameter(H))
+
+
+# Runs argv[1:] and reports its ru_maxrss in KiB on stderr. A child's
+# ru_maxrss starts at the peak of the process it was spawned from, so the
+# scan is spawned from this small launcher, not from the test process,
+# which may have held a larger table in an earlier test.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.slow
+def test_twin_translates_1e9_in_bounded_memory():
+    # OEIS A007508: 3,424,506 twin prime pairs below 10^9
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["scan", "tuple-translates", str(10**9), "--tuple-file", "(0,2)"]
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "smoothgap.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["records"][0]["count"] == 3424506
+    assert int(done.stderr) * 1024 < 1.2e9
 
 
 def test_counts_monotone():
