@@ -15,11 +15,17 @@ _DEFAULT_MEM_BUDGET = 4_000_000_000
 
 
 def mem_budget() -> int:
-    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET."""
+    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET (a positive integer)."""
     raw = os.environ.get("SMOOTHGAP_MEM_BUDGET")
     if raw is None:
         return _DEFAULT_MEM_BUDGET
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"SMOOTHGAP_MEM_BUDGET must be a positive integer of bytes, got {raw!r}")
+    return budget
 
 
 def prime_flags(limit: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -93,8 +92,25 @@ def render_tuple(H: tuples.IntegerTuple) -> str:
     return ",".join(str(h) for h in H)
 
 
-def _tuple_json(H: tuples.IntegerTuple | None):
-    return None if H is None else [int(h) for h in H]
+def _plain(value):
+    """A result as JSON-ready values: a dataclass becomes its fields by name,
+    an IntegerTuple, tuple or list a list, and a float is rounded by fmt_float."""
+    if isinstance(value, (tuples.IntegerTuple, tuple, list)):
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return fmt_float(value) if isinstance(value, float) else value
+
+
+def _write_csv(rows: list[dict]) -> None:
+    """Rows under a header of the first row's keys: None as an empty cell,
+    a float to 12 significant digits, anything else by str."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(
+        ["" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values()]
+        for row in rows
+    )
 
 
 # ---------------------------------------------------------------- construct
@@ -129,7 +145,7 @@ def cmd_verify(args) -> int:
     results = []
     all_ok = True
     for H in load_tuples(args.tuple):
-        entry: dict = {"tuple": _tuple_json(H)}
+        entry: dict = {"tuple": _plain(H)}
         report = tuples.is_admissible(H) if args.admissible or args.witness else None
         if args.admissible:
             entry["admissible"] = report.admissible
@@ -139,7 +155,7 @@ def cmd_verify(args) -> int:
             check = tuples.is_difference_smooth(H, args.diff_smooth)
             entry["difference_smooth"] = check.smooth
             entry["smooth_bound"] = args.diff_smooth
-            entry["witness_pair"] = list(check.witness) if check.witness else None
+            entry["witness_pair"] = _plain(check.witness)
             entry["rough_cofactor"] = check.cofactor
             all_ok &= check.smooth
         if args.witness:
@@ -148,7 +164,7 @@ def cmd_verify(args) -> int:
             else:
                 # pigeonhole guarantee needs an admissible tuple, k >= 2
                 pair, z, all_ok = None, None, False
-            entry["pigeonhole_pair"] = None if pair is None else list(pair)
+            entry["pigeonhole_pair"] = _plain(pair)
             entry["pigeonhole_prime"] = z
         results.append(entry)
     print(dump_json({"schema": SCHEMA, "results": results}))
@@ -169,11 +185,7 @@ def cmd_search(args) -> int:
         "schema": SCHEMA,
         "k": args.k,
         "smooth_bound": args.smooth,
-        "tuple": _tuple_json(result.tuple),
-        "diameter": result.diameter,
-        "nodes_explored": result.nodes_explored,
-        "proven_minimal": result.proven_minimal,
-        "budget_exhausted": result.budget_exhausted,
+        **_plain(result),
         "certified_impossible": certified_impossible,
         "impossible_reason": (
             f"admissible {args.k}-tuples are never difference l-smooth for "
@@ -209,53 +221,14 @@ def _scan_request(args) -> scan.ScanRequest:
     )
 
 
-def _record_fields(r: scan.CheckpointRecord) -> dict:
-    """A checkpoint record's fields, in declaration order (the CSV columns),
-    with floats rounded for byte-stable reports."""
-    return {
-        name: fmt_float(v) if isinstance(v, float) else v
-        for name, v in dataclasses.asdict(r).items()
-    }
-
-
 def scan_report_json(report: scan.ScanReport) -> str:
-    req = report.request
-    payload = {
-        "schema": SCHEMA,
-        "request": {
-            "x_max": req.x_max,
-            "mode": req.mode,
-            "y": req.y,
-            "tuple": _tuple_json(req.tuple),
-            "checkpoints": list(req.checkpoints),
-            "include_gap_one": req.include_gap_one,
-            "min_prime_count": req.min_prime_count,
-        },
-        "records": [_record_fields(r) for r in report.records],
-        "witnesses": [list(w) for w in report.witnesses],
-    }
-    return dump_json(payload)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
-
-
-def scan_report_csv(report: scan.ScanReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(f.name for f in dataclasses.fields(scan.CheckpointRecord))
-    for r in report.records:
-        writer.writerow(_csv_cell(v) for v in _record_fields(r).values())
-    return buf.getvalue()
+    return dump_json({"schema": SCHEMA, **_plain(report)})
 
 
 def cmd_scan(args) -> int:
     report = scan.run_scan(_scan_request(args))
     if args.format == "csv":
-        sys.stdout.write(scan_report_csv(report))
+        _write_csv(_plain(report.records))
     else:
         print(scan_report_json(report))
     return EXIT_OK
@@ -271,30 +244,16 @@ def cmd_constants(args) -> int:
     if args.singular_series is not None and args.format == "csv":
         raise ValueError("--format csv applies to --km-table only")
     if args.km_table:
-        rows = [
-            {"m": e.m, "k_m": e.k_m, "y_m": e.y_m, "conditional": e.conditional}
-            for e in constants.km_table()
-        ]
+        rows = _plain(constants.km_table())
         if args.format == "csv":
-            writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            _write_csv(rows)
         else:
             print(dump_json({"schema": SCHEMA, "entries": rows}))
         return EXIT_OK
     H = load_one_tuple(args.singular_series)
     cutoff = constants.default_prime_cutoff(H) if args.cutoff is None else args.cutoff
     est = constants.singular_series(H, cutoff)
-    payload = {
-        "schema": SCHEMA,
-        "tuple": _tuple_json(H),
-        "value": fmt_float(est.value),
-        "k": est.k,
-        "prime_cutoff": est.prime_cutoff,
-        "tail_magnitude": fmt_float(est.tail_magnitude),
-        "admissible": est.admissible,
-    }
-    print(dump_json(payload))
+    print(dump_json({"schema": SCHEMA, "tuple": _plain(H), **_plain(est)}))
     return EXIT_OK
 
 

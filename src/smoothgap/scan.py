@@ -248,8 +248,8 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
     x = req.x_max
+    flags = prime_flags(x)  # over budget fails here, before the gaps are enumerated
     gaps = _gap_values(req, x - 2) if x > 2 else []
-    flags = prime_flags(x)
     if _fft_is_cheaper(x, gaps, req.checkpoints):
         counts = _fft_pair_counts(flags, gaps, req.checkpoints)
     else:
@@ -277,8 +277,9 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
 
 
 def count_tuple_translates(req: ScanRequest) -> ScanReport:
-    """Integers n < checkpoint with n + h prime for every h in the tuple,
-    with Hardy-Littlewood predictions in ratio and integral form.
+    """Integers n in [1, checkpoint) with n + h prime for every h of the
+    tuple translated to start at 0, so (5, 7) counts as (0, 2) does, with
+    Hardy-Littlewood predictions in ratio and integral form.
 
     With --at-least m, also the n with at least m of the n + h prime. One
     pass of the windowed kernel over the flag table: nothing else it

@@ -407,6 +407,157 @@ def test_json_byte_stable_across_runs(capsys):
     assert first == second
 
 
+# Exact stdout of each report type, JSON and CSV, fixed when the reports were
+# first encoded from the result dataclasses' fields: a change to any report's
+# bytes shows here.
+GOLDEN_REPORTS = [
+    (
+        "scan pairs 12 --y 3 --checkpoints 5,12",
+        EXIT_OK,
+        (
+            '{"records": [{"at_least_m_count": null, "checkpoint": 5, "count": 3,'
+            ' "hl_integral_prediction": null, "hl_ratio_prediction": null, "ratio": null},'
+            ' {"at_least_m_count": null, "checkpoint": 12, "count": 9,'
+            ' "hl_integral_prediction": null, "hl_ratio_prediction": null, "ratio": null}],'
+            ' "request": {"checkpoints": [5, 12], "include_gap_one": true,'
+            ' "min_prime_count": null, "mode": "pairs", "tuple": null, "x_max": 12,'
+            ' "y": 3}, "schema": "smoothgap/1", "witnesses": [[2, 3], [2, 5], [3, 5], [3,'
+            ' 7], [5, 7], [2, 11], [3, 11], [5, 11], [7, 11]]}\n'
+        ),
+    ),
+    (
+        "scan pairs 30 --y 3 --checkpoints 10,30 --format csv",
+        EXIT_OK,
+        (
+            'checkpoint,count,hl_ratio_prediction,hl_integral_prediction,ratio,at_least_m_count\n'
+            '10,5,,,,\n'
+            '30,31,,,,\n'
+        ),
+    ),
+    (
+        "scan tuple-translates 100 --tuple-file 0,2,6 --at-least 2 --checkpoints 10,100",
+        EXIT_OK,
+        (
+            '{"records": [{"at_least_m_count": 4, "checkpoint": 10, "count": 1,'
+            ' "hl_integral_prediction": 8.48828832172,'
+            ' "hl_ratio_prediction": 2.34127819803, "ratio": 0.117809381833},'
+            ' {"at_least_m_count": 25, "checkpoint": 100, "count": 4,'
+            ' "hl_integral_prediction": 13.8612070431,'
+            ' "hl_ratio_prediction": 2.92659774754, "ratio": 0.288575157095}],'
+            ' "request": {"checkpoints": [10, 100], "include_gap_one": true,'
+            ' "min_prime_count": 2, "mode": "tuple-translates", "tuple": [0, 2, 6],'
+            ' "x_max": 100, "y": null}, "schema": "smoothgap/1", "witnesses": [[5], [11],'
+            ' [17], [41]]}\n'
+        ),
+    ),
+    (
+        "scan tuple-translates 100 --tuple-file 0,2,6 --at-least 2 --checkpoints 10,100 --format csv",
+        EXIT_OK,
+        (
+            'checkpoint,count,hl_ratio_prediction,hl_integral_prediction,ratio,at_least_m_count\n'
+            '10,1,2.34127819803,8.48828832172,0.117809381833,4\n'
+            '100,4,2.92659774754,13.8612070431,0.288575157095,25\n'
+        ),
+    ),
+    (
+        "scan consecutive-pairs 50 --y 2 --exclude-gap-one --format csv",
+        EXIT_OK,
+        (
+            'checkpoint,count,hl_ratio_prediction,hl_integral_prediction,ratio,at_least_m_count\n'
+            '50,11,,,,\n'
+        ),
+    ),
+    (
+        "search 3 --smooth 3",
+        EXIT_OK,
+        (
+            '{"budget_exhausted": false, "certified_impossible": false, "diameter": 6,'
+            ' "impossible_reason": null, "k": 3, "nodes_explored": 8,'
+            ' "proven_minimal": true, "schema": "smoothgap/1", "smooth_bound": 3,'
+            ' "tuple": [0, 2, 6]}\n'
+        ),
+    ),
+    (
+        "search 3 --smooth 2",
+        EXIT_OK,
+        (
+            '{"budget_exhausted": false, "certified_impossible": true, "diameter": null,'
+            ' "impossible_reason": "admissible 3-tuples are never difference l-smooth for l < 3",'
+            ' "k": 3, "nodes_explored": 0, "proven_minimal": true, "schema": "smoothgap/1",'
+            ' "smooth_bound": 2, "tuple": null}\n'
+        ),
+    ),
+    (
+        "constants --singular-series 0,2 --cutoff 1000",
+        EXIT_OK,
+        (
+            '{"admissible": true, "k": 2, "prime_cutoff": 1000, "schema": "smoothgap/1",'
+            ' "tail_magnitude": 0.000144764827301, "tuple": [0, 2],'
+            ' "value": 1.32049148794}\n'
+        ),
+    ),
+    (
+        "constants --km-table",
+        EXIT_OK,
+        (
+            '{"entries": [{"conditional": false, "k_m": 50, "m": 2, "y_m": 47},'
+            ' {"conditional": false, "k_m": 35265, "m": 3, "y_m": 35257},'
+            ' {"conditional": false, "k_m": 1624545, "m": 4, "y_m": 1624529},'
+            ' {"conditional": false, "k_m": 73807570, "m": 5, "y_m": 73807561},'
+            ' {"conditional": false, "k_m": 3340375663, "m": 6, "y_m": 3340375637},'
+            ' {"conditional": true, "k_m": 5, "m": 2, "y_m": 5}], "schema": "smoothgap/1"}\n'
+        ),
+    ),
+    (
+        "constants --km-table --format csv",
+        EXIT_OK,
+        (
+            'm,k_m,y_m,conditional\n'
+            '2,50,47,False\n'
+            '3,35265,35257,False\n'
+            '4,1624545,1624529,False\n'
+            '5,73807570,73807561,False\n'
+            '6,3340375663,3340375637,False\n'
+            '2,5,5,True\n'
+        ),
+    ),
+    (
+        "verify 0,2,6,8,12 --admissible --diff-smooth 3 --witness",
+        EXIT_NEGATIVE,
+        (
+            '{"results": [{"admissible": true, "difference_smooth": false,'
+            ' "obstruction": null, "pigeonhole_pair": [1, 4], "pigeonhole_prime": 5,'
+            ' "rough_cofactor": 5, "smooth_bound": 3, "tuple": [0, 2, 6, 8, 12],'
+            ' "witness_pair": [1, 4]}], "schema": "smoothgap/1"}\n'
+        ),
+    ),
+    (
+        "verify 0,2,4 --admissible --diff-smooth 3 --witness",
+        EXIT_NEGATIVE,
+        (
+            '{"results": [{"admissible": false, "difference_smooth": true,'
+            ' "obstruction": 3, "pigeonhole_pair": null, "pigeonhole_prime": null,'
+            ' "rough_cofactor": null, "smooth_bound": 3, "tuple": [0, 2, 4],'
+            ' "witness_pair": null}], "schema": "smoothgap/1"}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
+def test_report_bytes_are_pinned(capsys, argv, code, stdout):
+    assert invoke(capsys, *argv.split())[:2] == (code, stdout)
+
+
+@pytest.mark.parametrize("budget", ["4e9", "-5", "0", "", "four"])
+def test_malformed_mem_budget_is_a_usage_error(capsys, monkeypatch, budget):
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", budget)
+    code, out, err = invoke(capsys, "scan", "pairs", "100", "--y", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "SMOOTHGAP_MEM_BUDGET" in err
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

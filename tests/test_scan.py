@@ -190,6 +190,26 @@ def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
         count_smooth_gap_pairs(req)
 
 
+def test_pairs_check_the_flag_table_before_enumerating_gaps(monkeypatch):
+    def enumerate_gaps(*args):
+        raise AssertionError("gaps enumerated before the budget check")
+
+    monkeypatch.setattr("smoothgap.scan.smooth_numbers_up_to", enumerate_gaps)
+    x = 10**5
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(x))  # below the x + 1 flag bytes
+    with pytest.raises(CapacityError):
+        count_smooth_gap_pairs(ScanRequest(x, "pairs", y=47))
+
+
+def test_translates_count_the_tuple_translated_to_zero():
+    # (5, 7) counts as (0, 2): the twins (3, 5) and (5, 7) at n = 3 and 5
+    shifted = count_tuple_translates(ScanRequest(10, "tuple-translates", tuple=IntegerTuple((5, 7))))
+    base = count_tuple_translates(ScanRequest(10, "tuple-translates", tuple=IntegerTuple((0, 2))))
+    assert shifted.records == base.records
+    assert shifted.witnesses == base.witnesses == ((3,), (5,))
+    assert shifted.records[0].count == 2
+
+
 def test_pairs_few_gaps_take_per_gap_kernel(monkeypatch):
     monkeypatch.setattr("smoothgap.scan._fft_pair_counts", None)
     x = 10**6
