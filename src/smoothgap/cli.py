@@ -40,18 +40,19 @@ def dump_json(obj) -> str:
 
 
 def parse_tuple_line(text: str, line_no: int = 1) -> tuples.IntegerTuple:
-    """Parse one comma-separated ascending tuple literal."""
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")"):
-        stripped = stripped[1:-1]
-    parts = stripped.split(",")
+    """Parse one comma-separated ascending tuple literal. A bad integer is
+    reported at its 1-based column in `text` as given."""
+    body = text.strip()
+    col = len(text) - len(text.lstrip()) + 1  # the column of body[0]
+    if body.startswith("(") and body.endswith(")"):
+        body, col = body[1:-1], col + 1
     values = []
-    col = 1
-    for part in parts:
+    for part in body.split(","):
         try:
             values.append(int(part.strip()))
         except ValueError:
-            raise TupleParseError(f"bad integer {part.strip()!r}", line_no, col)
+            bad_col = col + len(part) - len(part.lstrip())
+            raise TupleParseError(f"bad integer {part.strip()!r}", line_no, bad_col)
         col += len(part) + 1
     try:
         return tuples.IntegerTuple(tuple(values))
@@ -66,7 +67,7 @@ def parse_tuple_text(text: str) -> list[tuples.IntegerTuple]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        out.append(parse_tuple_line(stripped, line_no))
+        out.append(parse_tuple_line(line, line_no))
     if not out:
         raise TupleParseError("no tuples found", 1, 1)
     return out
@@ -122,8 +123,7 @@ def cmd_construct(args) -> int:
     else:
         H = tuples.construct_consecutive_prime_tuple(args.k)
         omega = None
-    print(render_tuple(H))
-    if args.sidecar:
+    if args.sidecar:  # written first, so an unwritable path leaves stdout empty
         sidecar = {
             "schema": SCHEMA,
             "kind": args.kind,
@@ -134,6 +134,7 @@ def cmd_construct(args) -> int:
         }
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             fh.write(dump_json(sidecar) + "\n")
+    print(render_tuple(H))
     return EXIT_OK
 
 
@@ -322,7 +323,7 @@ def run(argv=None) -> int:
     except (CapacityError, FactorBudgetError) as e:
         print(f"capacity: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: a path that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,7 +3,6 @@ counts, and prime tuple-translate counts with Hardy-Littlewood predictions."""
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -110,9 +109,10 @@ class ScanReport:
     witnesses: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
 
-def _gap_values(req: ScanRequest, limit: int) -> list[int]:
-    start = 1 if req.include_gap_one else 2
-    return [s for s in smooth_numbers_up_to(req.y, limit) if s >= start]
+def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
+    """The y-smooth gaps in [1, limit] ([2, limit] without gap one), ascending."""
+    gaps = np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)
+    return gaps if req.include_gap_one else gaps[1:]
 
 
 def _translate_counts(flags: np.ndarray, H, ends, m: int | None, first: int):
@@ -157,7 +157,8 @@ def _fft_length(n: int) -> int:
 
 def _autocorrelation_sum(indicator: np.ndarray, lags: np.ndarray) -> int:
     """Sum over the given lags j >= 1 of #{t : indicator[t] and indicator[t + j]},
-    exactly, from one FFT autocorrelation."""
+    exactly, from one FFT autocorrelation. Lags past the indicator add 0."""
+    lags = lags[lags < len(indicator)]
     if not len(lags):
         return 0
     size = _fft_length(len(indicator))
@@ -173,48 +174,37 @@ def _autocorrelation_sum(indicator: np.ndarray, lags: np.ndarray) -> int:
     return int(counts.astype(np.int64).sum())
 
 
-def _fft_pair_counts(flags: np.ndarray, gaps: list[int], checkpoints) -> list[int]:
-    """Pair counts at each checkpoint from one FFT autocorrelation of the
-    odd-only prime indicator per checkpoint prefix (index t stands for
-    2t + 1): the even gaps 2j are lag j. A pair with an odd gap s has
-    q = 2, so those are the pairs (2, 2 + s)."""
-    gap_array = np.asarray(gaps, dtype=np.int64)
-    even_lags = gap_array[gap_array % 2 == 0] // 2
-    odd_gaps = gap_array[gap_array % 2 == 1]
-    counts = []
-    for c in checkpoints:
-        indicator = flags[1 : c + 1 : 2]
-        count = _autocorrelation_sum(indicator, even_lags[even_lags < len(indicator)])
-        count += int(np.count_nonzero(flags[2 + odd_gaps[odd_gaps <= c - 2]]))
-        counts.append(count)
-    return counts
+def _fft_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
+    """Pair counts at each checkpoint over the even gaps, from one FFT
+    autocorrelation of the odd-only prime indicator per checkpoint prefix
+    (index t stands for 2t + 1): the even gap 2j is lag j."""
+    lags = gaps // 2
+    return [_autocorrelation_sum(flags[1 : c + 1 : 2], lags) for c in checkpoints]
 
 
-def _per_gap_pair_counts(
-    flags: np.ndarray, gaps: list[int], checkpoints, workers: int
-) -> list[int]:
+def _per_gap_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
     """Pair counts at each checkpoint from the windowed kernel once per gap
     s, with H = (0, s) and ends c - s + 1: the pairs (q, q + s) with
-    q + s <= c. The gaps are spread over `workers` threads: O(x) per gap
+    q + s <= c. The gaps are spread over one thread per CPU: O(x) per gap
     and one window buffer per thread beyond the flag table."""
 
     def count_gap(s: int) -> list[int]:
         return _translate_counts(flags, (0, s), [c - s + 1 for c in checkpoints], None, 0)[0]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         partials = list(pool.map(count_gap, gaps))
     return [int(n) for n in sum(partials, np.zeros(len(checkpoints), dtype=np.int64))]
 
 
-def _fft_is_cheaper(x: int, gaps: list[int], checkpoints) -> bool:
+def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
     """Whether the FFT kernel fits mem_budget() and its estimated time is
-    below the per-gap kernel's."""
+    below the per-gap kernel's over the same gaps."""
     largest = _fft_length((x + 1) // 2)
     if x + 1 + FFT_BYTES_PER_POINT * largest > mem_budget():
         return False
     sizes = [_fft_length((c + 1) // 2) for c in checkpoints]
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
-    return fft_cost < sum(x + 1 - s for s in gaps)
+    return fft_cost < len(gaps) * (x + 1) - int(gaps.sum())
 
 
 def _cpu_count() -> int:
@@ -227,8 +217,9 @@ def _cpu_count() -> int:
 def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
-    Two exact kernels, chosen per request by estimated time within the
-    memory budget; both give the same counts.
+    An odd gap s pairs only (2, 2 + s), so odd gaps are counted here by one
+    lookup per checkpoint. The even gaps go to one of two exact kernels,
+    chosen per request by estimated time within the memory budget.
 
     _fft_pair_counts: one transform of length _fft_length((c + 1) // 2), in
     [c, 2c), per checkpoint c, O(c log c) each. That totals about 1.1 times
@@ -238,24 +229,25 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     the (x + 1)-byte flag table, so under the default 4 GB budget it runs
     only for x <= 2^26 = 67,108,864.
 
-    _per_gap_pair_counts: O(x) per smooth gap, O(x * Psi(x, y)) in all, on
-    one worker thread per CPU the process may run on, in no memory beyond
-    the flag table and a block buffer per thread. It takes the requests
-    the transform does not fit, so pairs mode is bounded in x only by the
-    flag table (x + 1 <= mem_budget()), and those with few smooth gaps,
-    such as y = 2 or 3.
+    _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
+    all, on one worker thread per CPU the process may run on, in no memory
+    beyond the flag table and a block buffer per thread. It takes the
+    requests the transform does not fit, so pairs mode is bounded in x
+    only by the flag table (x + 1 <= mem_budget()), and those with few
+    smooth gaps, such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
     x = req.x_max
     flags = prime_flags(x)  # over budget fails here, before the gaps are enumerated
-    gaps = _gap_values(req, x - 2) if x > 2 else []
-    if _fft_is_cheaper(x, gaps, req.checkpoints):
-        counts = _fft_pair_counts(flags, gaps, req.checkpoints)
-    else:
-        workers = max(1, min(len(gaps), _cpu_count()))
-        counts = _per_gap_pair_counts(flags, gaps, req.checkpoints, workers)
-    records = tuple(CheckpointRecord(c, n) for c, n in zip(req.checkpoints, counts))
+    gaps = _gap_values(req, x - 2) if x > 2 else np.empty(0, dtype=np.int64)
+    odd, even = gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
+    fft = _fft_is_cheaper(x, even, req.checkpoints)
+    counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(flags, even, req.checkpoints)
+    records = tuple(
+        CheckpointRecord(c, n + int(np.count_nonzero(flags[2 + odd[odd <= c - 2]])))
+        for c, n in zip(req.checkpoints, counts)
+    )
     return ScanReport(req, records, _pair_witnesses(flags, gaps))
 
 
@@ -314,12 +306,12 @@ def run_scan(req: ScanRequest) -> ScanReport:
     return count_tuple_translates(req)
 
 
-def _pair_witnesses(flags: np.ndarray, gaps: list[int]):
+def _pair_witnesses(flags: np.ndarray, gaps: np.ndarray):
     """Earliest pairs (q, p) ordered by p then q ascending, capped."""
     out = []
     for p in itertools.compress(itertools.count(), flags):
-        hi = bisect.bisect_right(gaps, p - 2)
-        for s in gaps[hi - 1 :: -1] if hi else ():  # descending gap: ascending q
+        hi = np.searchsorted(gaps, p - 2, side="right")
+        for s in gaps[:hi][::-1].tolist():  # descending gap: ascending q
             q = p - s
             if flags[q]:
                 out.append((q, p))

@@ -13,6 +13,7 @@ from smoothgap.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    parse_tuple_line,
     parse_tuple_text,
     run,
 )
@@ -37,8 +38,32 @@ def test_parse_tuple_text_errors():
     assert exc.value.column == 3
     with pytest.raises(TupleParseError):
         parse_tuple_text("# only comments\n")
+    # columns count in the line as written, before stripping
+    with pytest.raises(TupleParseError) as exc:
+        parse_tuple_text("# indented below\n  (0, 2, y)\n")
+    assert (exc.value.line, exc.value.column) == (2, 10)
+    for literal in ("(0,x)", "0, x"):
+        with pytest.raises(TupleParseError) as exc:
+            parse_tuple_line(literal)
+        assert exc.value.column == 4
     with pytest.raises(TupleParseError):
         parse_tuple_text("3,2,1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{dir}", "--admissible"],
+        ["scan", "tuple-translates", "100", "--tuple-file", "{dir}"],
+        ["constants", "--singular-series", "{dir}"],
+        ["construct", "primorial", "5", "--sidecar", "{dir}"],
+    ],
+)
+def test_unreadable_paths_are_usage_errors(capsys, tmp_path, argv):
+    # a directory where a file is expected: one error line, nothing on stdout
+    code, out, err = invoke(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_construct_primorial(capsys):

@@ -11,13 +11,13 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.errors import CapacityError
 from smoothgap._sieve import prime_flags
+from smoothgap.primes import _primes_upto
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
     MAX_WITNESSES,
     ScanRequest,
     _fft_pair_counts,
     _gap_values,
-    _per_gap_pair_counts,
     _translate_counts,
     count_consecutive_smooth_gap_pairs,
     count_smooth_gap_pairs,
@@ -108,6 +108,13 @@ def test_pairs_match_oracle(y, gap_one):
     )
 
 
+def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
+    """count_smooth_gap_pairs's counts with the FFT (fft=True) or the
+    per-gap kernel taking the even gaps."""
+    monkeypatch.setattr("smoothgap.scan._fft_is_cheaper", lambda *args: fft)
+    return [r.count for r in count_smooth_gap_pairs(req).records]
+
+
 @pytest.mark.parametrize(
     "x, y, checkpoints, gap_one",
     [
@@ -122,26 +129,59 @@ def test_pairs_match_oracle(y, gap_one):
         (1500, 47, (2, 3, 1499, 1500), True),
     ],
 )
-def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one):
+def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one, monkeypatch):
     req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one)
     expected = [brute_pair_count(c, y, gap_one) for c in checkpoints]
     assert [r.count for r in count_smooth_gap_pairs(req).records] == expected
-    flags = prime_flags(x)
-    gaps = _gap_values(req, x - 2) if x > 2 else []
-    assert _fft_pair_counts(flags, gaps, checkpoints) == expected
-    for workers in (1, 3):
-        assert _per_gap_pair_counts(flags, gaps, checkpoints, workers) == expected
+    assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
 
 
 def test_pairs_kernels_agree_across_blocks(monkeypatch):
     # windows smaller than the gaps and not aligned with the checkpoints
     monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
     req = ScanRequest(5000, "pairs", y=7, checkpoints=(30, 31, 1000, 4999, 5000))
-    flags = prime_flags(req.x_max)
-    gaps = _gap_values(req, req.x_max - 2)
-    expected = _fft_pair_counts(flags, gaps, req.checkpoints)
-    for workers in (1, 2, 4):
-        assert _per_gap_pair_counts(flags, gaps, req.checkpoints, workers) == expected
+    expected = [brute_pair_count(c, 7, True) for c in req.checkpoints]
+    assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
+
+
+@pytest.mark.parametrize("fft", [True, False])
+def test_odd_gaps_reach_neither_kernel(fft, monkeypatch):
+    # an odd gap pairs only q = 2, counted by one lookup outside both kernels
+    seen = []
+
+    def fft_counts(flags, gaps, checkpoints):
+        seen.extend(map(int, gaps))
+        return _fft_pair_counts(flags, gaps, checkpoints)
+
+    def translate_counts(flags, H, *args):
+        seen.append(H[-1])
+        return _translate_counts(flags, H, *args)
+
+    monkeypatch.setattr("smoothgap.scan._fft_pair_counts", fft_counts)
+    monkeypatch.setattr("smoothgap.scan._translate_counts", translate_counts)
+    req = ScanRequest(3000, "pairs", y=3, checkpoints=(100, 3000))
+    expected = [brute_pair_count(c, 3, True) for c in req.checkpoints]
+    assert _counts_by_kernel(monkeypatch, req, fft) == expected
+    assert seen and all(s % 2 == 0 for s in seen)
+
+
+def test_pairs_peak_allocation_per_integer():
+    # the gaps are held once, as int64, while a kernel runs
+    x = 10**6
+    _primes_upto(x)  # the cached prime list, outside the measurement
+    tracemalloc.start()
+    try:
+        count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * x
 
 
 def test_pairs_all_gaps_smooth_is_binomial():
