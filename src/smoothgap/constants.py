@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._sieve import prime_flags
+from ._sieve import prime_windows
 from .primes import largest_prime_leq
 from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
@@ -54,29 +54,35 @@ def _tail_magnitude(k: int, cutoff: int) -> float:
 
 def singular_series(H: IntegerTuple, prime_cutoff: int) -> SingularSeriesEstimate:
     """Partial Hardy-Littlewood product prod (1 - v_p/p) / (1 - 1/p)^k
-    over primes p <= prime_cutoff, accumulated in log space.
+    over primes p <= prime_cutoff, accumulated in log space: one pass over
+    prime_windows(prime_cutoff) that adds up each window's log terms, so
+    it holds no table of the primes up to the cutoff.
 
     Exactly 0 (and admissible = False) when some v_p = p.
     """
     k = len(H)
     d = diameter(H)
-    if prime_cutoff < k or prime_cutoff < d + 1:
+    if prime_cutoff < 2 or prime_cutoff < k or prime_cutoff < d + 1:
         raise ValueError(
-            f"prime_cutoff {prime_cutoff} must be >= k = {k} and >= diameter + 1 = {d + 1}"
+            f"prime_cutoff {prime_cutoff} must be >= 2, >= k = {k} "
+            f"and >= diameter + 1 = {d + 1}"
         )
     tail = _tail_magnitude(k, prime_cutoff)
     if not is_admissible(H):
         return SingularSeriesEstimate(0.0, k, prime_cutoff, tail, False)
-    primes = np.flatnonzero(prime_flags(prime_cutoff)).astype(np.float64)
-    small = primes[: np.searchsorted(primes, d, side="right")]
-    head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
-    k_logs = k * np.log1p(-1.0 / primes)
-    # for p > diameter(H) the elements are distinct mod p, so v_p = k
-    log_terms = np.divide(-float(k), primes, out=primes)
-    log_terms[: len(head)] = head
-    np.log1p(log_terms, out=log_terms)
-    log_terms -= k_logs
-    value = float(math.exp(float(np.sum(log_terms))))
+    total = 0.0
+    for lo, flags in prime_windows(prime_cutoff):
+        primes = (np.flatnonzero(flags) + lo).astype(np.float64)
+        small = primes[: np.searchsorted(primes, d, side="right")]
+        head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
+        k_logs = k * np.log1p(-1.0 / primes)
+        # for p > diameter(H) the elements are distinct mod p, so v_p = k
+        log_terms = np.divide(-float(k), primes, out=primes)
+        log_terms[: len(head)] = head
+        np.log1p(log_terms, out=log_terms)
+        log_terms -= k_logs
+        total += float(np.sum(log_terms))
+    value = float(math.exp(total))
     return SingularSeriesEstimate(value, k, prime_cutoff, tail, True)
 
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sieve import SCAN_LIMIT, mem_budget, prime_flags
+from . import _sieve
+from ._sieve import SCAN_LIMIT, mem_budget, prime_flags, prime_windows
 from .constants import hl_prediction
 from .errors import CapacityError
 from .smoothness import smooth_numbers_up_to
@@ -29,8 +30,6 @@ FFT_ROUNDOFF_GUARD = 0.25
 # one byte of the per-gap AND-and-count, measured with numpy 2 on x86-64
 # (about 4 ns against 0.17 ns).
 FFT_COST_PER_BYTE = 24
-# Integers n that the windowed kernel combines in one numpy call.
-WINDOW = 1 << 20
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -115,36 +114,48 @@ def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
     return gaps if req.include_gap_one else gaps[1:]
 
 
-def _translate_counts(flags: np.ndarray, H, ends, m: int | None, first: int):
+def _translate_counts(windows, H, ends, m: int | None, first: int):
     """For each of the ascending ends e, the count of n in [1, e) with n + h
     prime for every h in H, and the count of n with at least m of them prime
     (the same count when m is None or len(H)); and the first `first` n of
-    the first kind. flags must reach ends[-1] - 1 + max(H).
+    the first kind. H ascends from 0.
 
-    It walks n in windows of WINDOW integers, ANDing the shifted slices of
-    flags into one buffer and counting it. Only the at-least census fills a
-    tally window, in the narrowest unsigned dtype that holds len(H)."""
+    windows yields ascending, abutting (lo, flags) with flags[i] true iff
+    lo + i is prime; each covers the n in [lo, lo + len(flags) - max(H)),
+    and together they must cover the n below ends[-1]. Each window is
+    split at the ends inside it; each piece ANDs the shifted slices of
+    flags into one buffer and counts it. Only the at-least census fills a
+    tally per piece, in the narrowest unsigned dtype that holds len(H).
+    Nothing it allocates grows with the ends."""
     census = m is not None and m < len(H)
-    buf = np.empty(min(WINDOW, len(flags)), dtype=bool)
+    top, reach = ends[-1], H[-1]
+    buf = np.empty(0, dtype=bool)
     counts, at_least, hits = [], [], []
-    total, enough, lo = 0, 0, 1
-    for e in ends:
-        for a in range(lo, e, len(buf)):
-            b = min(a + len(buf), e)
-            both = flags[a + H[0] : b + H[0]]
+    total, enough, i = 0, 0, 0  # ends[:i] are recorded
+    for lo, flags in windows:
+        a, stop = max(lo, 1), min(lo + len(flags) - reach, top)
+        while a < stop:
+            while ends[i] <= a:
+                counts.append(total)
+                at_least.append(enough if census else total)
+                i += 1
+            b = min(ends[i], stop)
+            if len(buf) < b - a:
+                buf = np.empty(b - a, dtype=bool)
+            both = flags[a - lo : b - lo]
             for h in H[1:]:
-                both = np.logical_and(both, flags[a + h : b + h], out=buf[: b - a])
+                both = np.logical_and(both, flags[a - lo + h : b - lo + h], out=buf[: b - a])
             total += int(np.count_nonzero(both))
             if len(hits) < first:
                 hits += (np.flatnonzero(both)[: first - len(hits)] + a).tolist()
             if census:
                 tally = np.zeros(b - a, dtype=np.min_scalar_type(len(H)))
                 for h in H:
-                    tally += flags[a + h : b + h]
+                    tally += flags[a - lo + h : b - lo + h]
                 enough += int(np.count_nonzero(tally >= m))
-        lo = max(lo, e)
-        counts.append(total)
-        at_least.append(enough if census else total)
+            a = b
+    counts += [total] * (len(ends) - i)
+    at_least += [enough if census else total] * (len(ends) - i)
     return counts, at_least, hits
 
 
@@ -185,11 +196,14 @@ def _fft_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[i
 def _per_gap_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
     """Pair counts at each checkpoint from the windowed kernel once per gap
     s, with H = (0, s) and ends c - s + 1: the pairs (q, q + s) with
-    q + s <= c. The gaps are spread over one thread per CPU: O(x) per gap
-    and one window buffer per thread beyond the flag table."""
+    q + s <= c. Its windows are views flags[a : a + WINDOW + s] of the one
+    table. The gaps are spread over one thread per CPU: O(x) per gap and
+    one window buffer per thread beyond the flag table."""
 
     def count_gap(s: int) -> list[int]:
-        return _translate_counts(flags, (0, s), [c - s + 1 for c in checkpoints], None, 0)[0]
+        step = _sieve.WINDOW
+        windows = ((a, flags[a : a + step + s]) for a in range(0, len(flags) - s, step))
+        return _translate_counts(windows, (0, s), [c - s + 1 for c in checkpoints], None, 0)[0]
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         partials = list(pool.map(count_gap, gaps))
@@ -252,20 +266,35 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
 
 
 def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
-    """Adjacent prime pairs (q, next prime) <= checkpoint with y-smooth gap."""
+    """Adjacent prime pairs (q, next prime) <= checkpoint with y-smooth gap.
+
+    One pass over prime_windows(x) that carries the last prime across
+    windows: each window's primes, after the carried one, give its gaps.
+    The smooth-gap lookup grows when a larger gap appears, each window adds
+    its pairs to the checkpoint counts by one searchsorted, and the first
+    MAX_WITNESSES pairs are kept, so nothing held grows with x."""
     if req.mode != MODE_CONSECUTIVE:
         raise ValueError(f"expected mode {MODE_CONSECUTIVE!r}")
-    primes = np.flatnonzero(prime_flags(req.x_max))
-    gaps = np.diff(primes)
-    smooth_gap = np.zeros(int(gaps.max(initial=1)) + 1, dtype=bool)
-    smooth_gap[_gap_values(req, len(smooth_gap) - 1)] = True
-    upper = primes[1:][smooth_gap[gaps]]  # pair counted once the larger member is in range
-    counts = np.searchsorted(upper, req.checkpoints, side="right")
+    smooth_gap = np.zeros(1, dtype=bool)  # indexed by gap, grown to the widest so far
+    counts = np.zeros(len(req.checkpoints), dtype=np.int64)
+    witnesses = []
+    carried = np.empty(0, dtype=np.int64)  # the last prime so far, once there is one
+    for lo, flags in prime_windows(req.x_max):
+        primes = np.concatenate((carried, np.flatnonzero(flags) + lo))
+        gaps = np.diff(primes)
+        widest = int(gaps.max(initial=0))
+        if widest >= len(smooth_gap):
+            smooth_gap = np.zeros(widest + 1, dtype=bool)
+            smooth_gap[_gap_values(req, widest)] = True
+        hit = smooth_gap[gaps]
+        upper = primes[1:][hit]  # pair counted once the larger member is in range
+        counts += np.searchsorted(upper, req.checkpoints, side="right")
+        room = MAX_WITNESSES - len(witnesses)
+        if room > 0:
+            witnesses += zip(primes[:-1][hit][:room].tolist(), upper[:room].tolist())
+        carried = primes[-1:]
     records = tuple(CheckpointRecord(c, int(n)) for c, n in zip(req.checkpoints, counts))
-    first = upper[:MAX_WITNESSES]
-    lower = primes[np.searchsorted(primes, first) - 1]  # the prime before each
-    witnesses = tuple((int(q), int(p)) for q, p in zip(lower, first))
-    return ScanReport(req, records, witnesses)
+    return ScanReport(req, records, tuple(witnesses))
 
 
 def count_tuple_translates(req: ScanRequest) -> ScanReport:
@@ -274,15 +303,15 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     Hardy-Littlewood predictions in ratio and integral form.
 
     With --at-least m, also the n with at least m of the n + h prime. One
-    pass of the windowed kernel over the flag table: nothing else it
-    allocates grows with x."""
+    pass of the windowed kernel over prime_windows(x - 1 + diameter) with
+    an overlap of the diameter: nothing it holds grows with x."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
     m = req.min_prime_count
-    flags = prime_flags(req.x_max - 1 + diameter(H))
+    d = diameter(H)
     counts, at_least, hits = _translate_counts(
-        flags, H.elements, req.checkpoints, m, MAX_WITNESSES
+        prime_windows(req.x_max - 1 + d, d), H.elements, req.checkpoints, m, MAX_WITNESSES
     )
     records = []
     for c, count, enough in zip(req.checkpoints, counts, at_least):

@@ -396,6 +396,14 @@ def test_constants_default_cutoff_covers_the_diameter(capsys):
     assert (code, out) == (EXIT_USAGE, "")
 
 
+@pytest.mark.parametrize("cutoff", ["1", "0", "-5"])
+def test_constants_cutoff_below_two_is_a_usage_error(capsys, cutoff):
+    # no prime at or below it, and the tail estimate would divide by log 1
+    code, out, err = invoke(capsys, "constants", "--singular-series", "0", "--cutoff", cutoff)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_no_flag(capsys):
     code, _, _ = invoke(capsys, "constants")
     assert code == EXIT_USAGE

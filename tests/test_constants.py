@@ -11,7 +11,7 @@ from smoothgap.constants import (
 )
 from smoothgap.tuples import IntegerTuple
 
-from tests.oracles import direct_singular_series, trial_is_prime
+from tests.oracles import direct_singular_series, simple_sieve, trial_is_prime
 
 TWIN = IntegerTuple((0, 2))
 
@@ -58,6 +58,9 @@ def test_undersized_cutoff_rejected():
         singular_series(IntegerTuple((0, 2, 100)), 50)
     with pytest.raises(ValueError):
         singular_series(IntegerTuple(tuple(range(0, 20, 2))), 5)
+    for cutoff in (1, 0, -5):  # no prime at or below, and no tail estimate
+        with pytest.raises(ValueError):
+            singular_series(IntegerTuple((0,)), cutoff)
 
 
 def test_translation_invariance():
@@ -66,13 +69,9 @@ def test_translation_invariance():
     assert a == b
 
 
-def test_brute_coverage_is_bit_identical():
-    H = IntegerTuple((0, 4, 6, 10))
-    cutoff = 10**4
-    est = singular_series(H, cutoff)
-    # recompute with full residue enumeration for every prime
-    from tests.oracles import simple_sieve
-
+def unwindowed_series(H: IntegerTuple, cutoff: int) -> float:
+    """The log-space partial product over one array of every prime up to
+    cutoff, with full residue enumeration for every prime."""
     flags = simple_sieve(cutoff)
     primes = np.array([p for p in range(2, cutoff + 1) if flags[p]], dtype=np.float64)
     v = np.array(
@@ -81,7 +80,26 @@ def test_brute_coverage_is_bit_identical():
     )
     k = len(H)
     log_terms = np.log1p(-v / primes) - k * np.log1p(-1.0 / primes)
-    assert est.value == float(math.exp(float(np.sum(log_terms))))
+    return float(math.exp(float(np.sum(log_terms))))
+
+
+def test_brute_coverage_is_bit_identical():
+    # a cutoff below WINDOW: one window, so the same sum in the same order
+    H = IntegerTuple((0, 4, 6, 10))
+    assert singular_series(H, 10**4).value == unwindowed_series(H, 10**4)
+
+
+@pytest.mark.parametrize("elements", [(0,), (0, 2), (0, 4, 6, 10), (0, 6, 42, 48), (0, 6, 82)])
+@pytest.mark.parametrize("cutoff", [91, 111, 3000])
+def test_windowed_sum_matches_unwindowed(monkeypatch, elements, cutoff):
+    # windows of 37 integers: head primes up to the diameter span windows
+    # (82 = 2 * 41 leaves v_41 = 2 in the second), and the sum of
+    # per-window sums differs only in rounding
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    H = IntegerTuple(elements)
+    assert singular_series(H, cutoff).value == pytest.approx(
+        unwindowed_series(H, cutoff), rel=1e-13
+    )
 
 
 def test_tail_bounds_cutoff_doubling():

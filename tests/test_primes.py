@@ -1,6 +1,6 @@
 import pytest
 
-from smoothgap._sieve import prime_flags
+from smoothgap._sieve import prime_flags, prime_windows
 from smoothgap.errors import CapacityError
 from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
@@ -48,6 +48,38 @@ def test_prime_flags_guards(monkeypatch):
     with pytest.raises(CapacityError):
         prime_flags(1000)
     assert prime_flags(999).sum() == 168
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 36, 37, 38, 73, 74, 75, 1000, 1010])
+@pytest.mark.parametrize("overlap", [0, 1, 2, 36, 37, 50])
+def test_prime_windows_match_simple_sieve(monkeypatch, limit, overlap):
+    # windows of 37 integers: 0, 1 and 2 in the first, a limit off the
+    # window grid, and overlaps past a window, which widen the step
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    expected = [bool(b) for b in simple_sieve(limit)][: limit + 1]
+    step = max(37, overlap)
+    got = [(lo, window.tolist()) for lo, window in prime_windows(limit, overlap)]
+    assert [lo for lo, _ in got] == list(range(0, limit + 1 - overlap, step))
+    for lo, window in got:
+        assert window == expected[lo : lo + step + overlap]
+    if not overlap:
+        assert sum((window for _, window in got), []) == expected
+
+
+def test_prime_windows_check_limit_at_the_call(monkeypatch):
+    with pytest.raises(ValueError):
+        prime_windows(-1)
+    with pytest.raises(CapacityError):
+        prime_windows(10**12 + 1)
+    # the full table is held to the budget, and windows only when an
+    # overlap wider than WINDOW makes them as wide as the input asks
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
+    assert sum(int(w.sum()) for _, w in prime_windows(10**5)) == 9592
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    prime_windows(10**5, 37)
+    prime_windows(999, 500)  # 1000 bytes: the limit caps the window
+    with pytest.raises(CapacityError):
+        prime_windows(10**5, 501)  # 2 * 501 bytes
 
 
 @pytest.mark.slow

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from smoothgap.cli import scan_report_json
+from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import prime_flags
+from smoothgap._sieve import WINDOW, prime_flags, prime_windows
 from smoothgap.primes import _primes_upto
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
@@ -141,7 +142,7 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one, monkeypatch)
 
 def test_pairs_kernels_agree_across_blocks(monkeypatch):
     # windows smaller than the gaps and not aligned with the checkpoints
-    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     req = ScanRequest(5000, "pairs", y=7, checkpoints=(30, 31, 1000, 4999, 5000))
     expected = [brute_pair_count(c, 7, True) for c in req.checkpoints]
     assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
@@ -281,6 +282,52 @@ def test_consecutive_match_oracle(y):
     assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
 
 
+@pytest.mark.parametrize("window", [5, 37])
+@pytest.mark.parametrize("gap_one", [True, False])
+@pytest.mark.parametrize("y", [2, 3, 47])
+def test_consecutive_match_oracle_across_windows(monkeypatch, window, gap_one, y):
+    # small windows: gaps straddle window edges, (31, 37) among them, and
+    # the gap from 89 to 97 spans the empty window [90, 95)
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", window)
+    x = 3000
+    checkpoints = (36, 37, 38, 95, 1110, 2999, x)
+    req = ScanRequest(
+        x, "consecutive-pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one
+    )
+    report = count_consecutive_smooth_gap_pairs(req)
+    pairs = brute_consecutive_pairs(x, y, gap_one)
+    assert [r.count for r in report.records] == [
+        sum(p <= c for _, p in pairs) for c in checkpoints
+    ]
+    assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
+
+
+@pytest.mark.parametrize("elements", [(0, 2), (0, 2, 6, 8), (0, 40), (0, 6, 42, 48)])
+def test_translates_match_oracle_across_windows(monkeypatch, elements):
+    # windows of 37 integers, checkpoints on and next to window edges, and
+    # tuples wider than a window
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    x = 37 * 81
+    checkpoints = (36, 37, 38, 74, 111, 1000, 2996, x)
+    flags = simple_sieve(x + max(elements))
+    tallies = [sum(flags[n + h] for h in elements) for n in range(x)]
+    hits = [n for n in range(1, x) if tallies[n] == len(elements)]
+    for m in (None, 1, len(elements)):
+        req = ScanRequest(
+            x, "tuple-translates", tuple=IntegerTuple(elements),
+            checkpoints=checkpoints, min_prime_count=m,
+        )
+        report = count_tuple_translates(req)
+        assert [r.count for r in report.records] == [
+            sum(n < c for n in hits) for c in checkpoints
+        ]
+        if m is not None:
+            assert [r.at_least_m_count for r in report.records] == [
+                sum(t >= m for t in tallies[1:c]) for c in checkpoints
+            ]
+        assert report.witnesses == tuple((n,) for n in hits[:MAX_WITNESSES])
+
+
 @pytest.mark.parametrize("elements", [(0, 2), (0, 2, 6), (0, 4, 6)])
 def test_translates_match_oracle(elements):
     req = ScanRequest(2000, "tuple-translates", tuple=IntegerTuple(elements))
@@ -321,7 +368,7 @@ def test_translates_at_least_m():
 def test_translates_tuple_wider_than_a_byte(monkeypatch):
     # 256 elements: the tallies no longer fit uint8; witnesses and
     # checkpoints inside windows of 37 integers
-    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     H = construct_consecutive_prime_tuple(256)
     x = 3000
     flags = simple_sieve(x + diameter(H))
@@ -366,27 +413,56 @@ def brute_translates(H, ends, m, first):
     ],
 )
 def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
-    # windows of 37 integers: checkpoints fall inside and on window edges
-    monkeypatch.setattr("smoothgap.scan.WINDOW", 37)
-    flags = prime_flags(max(max(ends), 1) + max(H))
+    # windows of 37 integers: checkpoints fall inside and on window edges,
+    # both from the sieve's windows and from views of one table
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    d = max(H)
+    limit = max(max(ends), 1) - 1 + d
+    table = prime_flags(limit)
     for m in (None, 1, max(1, len(H) - 1), len(H)):
         for first in (0, 3, MAX_WITNESSES):
-            got = _translate_counts(flags, H, ends, m, first)
-            assert got == brute_translates(H, ends, m, first)
+            expected = brute_translates(H, ends, m, first)
+            assert _translate_counts(prime_windows(limit, d), H, ends, m, first) == expected
+            views = ((a, table[a : a + 37 + d]) for a in range(0, len(table) - d, 37))
+            assert _translate_counts(views, H, ends, m, first) == expected
 
 
-def test_translates_peak_allocation_is_the_flag_table():
-    # nothing but the flag table grows with x: no tally, no hit positions
-    H = IntegerTuple((0, 2, 6, 8))
+def test_windowed_passes_peak_allocation_is_a_few_windows():
+    # translate, consecutive-pairs and singular-series passes fold over
+    # prime windows: their peak is a few windows' bytes, not x bytes
     x = 3 * 10**7
-    req = ScanRequest(x, "tuple-translates", tuple=H, min_prime_count=3)
-    tracemalloc.start()
-    try:
-        count_tuple_translates(req)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * (x + diameter(H))
+    H = IntegerTuple((0, 2, 6, 8))
+    passes = [
+        lambda: count_tuple_translates(
+            ScanRequest(x, "tuple-translates", tuple=H, min_prime_count=3)
+        ),
+        lambda: count_consecutive_smooth_gap_pairs(ScanRequest(x, "consecutive-pairs", y=47)),
+        lambda: singular_series(IntegerTuple((0, 2, 6, 8, 12)), x),
+    ]
+    for run in passes:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * WINDOW
+
+
+def test_windowed_passes_need_no_x_byte_budget(monkeypatch):
+    # a budget below x bytes: only a tuple wider than WINDOW, whose windows
+    # are as wide as the tuple, is held to it
+    x = 10**5
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**4))
+    twins = ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 2)))
+    assert count_tuple_translates(twins).records[0].count == brute_translate_count(x, (0, 2))
+    consecutive = ScanRequest(x, "consecutive-pairs", y=x)
+    assert count_consecutive_smooth_gap_pairs(consecutive).records[0].count == 9592 - 1
+    assert singular_series(IntegerTuple((0, 2)), x).admissible
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    wide = ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 6000)))
+    with pytest.raises(CapacityError):
+        count_tuple_translates(wide)
 
 
 # Runs argv[1:] and reports its ru_maxrss in KiB on stderr. A child's
@@ -402,18 +478,37 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
-@pytest.mark.slow
-def test_twin_translates_1e9_in_bounded_memory():
-    # OEIS A007508: 3,424,506 twin prime pairs below 10^9
+def run_cli_with_peak_rss(*argv):
+    """The CLI's exit code, its JSON report and its peak RSS in bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["scan", "tuple-translates", str(10**9), "--tuple-file", "(0,2)"]
     done = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "smoothgap.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
-    assert done.returncode == 0
-    assert json.loads(done.stdout)["records"][0]["count"] == 3424506
-    assert int(done.stderr) * 1024 < 1.2e9
+    return done.returncode, json.loads(done.stdout), int(done.stderr) * 1024
+
+
+@pytest.mark.slow
+def test_twin_translates_1e9_in_bounded_memory():
+    # OEIS A007508: 3,424,506 twin prime pairs below 10^9
+    code, report, rss = run_cli_with_peak_rss(
+        "scan", "tuple-translates", str(10**9), "--tuple-file", "(0,2)"
+    )
+    assert code == 0
+    assert report["records"][0]["count"] == 3424506
+    assert rss < 100e6
+
+
+@pytest.mark.slow
+def test_consecutive_pairs_1e9_in_bounded_memory():
+    # every prime gap below 10^9 is at most 282, so 1000-smooth: every one of
+    # the pi(10^9) - 1 = 50,847,533 adjacent pairs counts (OEIS A006880)
+    code, report, rss = run_cli_with_peak_rss(
+        "scan", "consecutive-pairs", str(10**9), "--y", "1000"
+    )
+    assert code == 0
+    assert report["records"][0]["count"] == 50847533
+    assert rss < 100e6
 
 
 def test_counts_monotone():
