@@ -6,9 +6,7 @@ import math
 import random
 from functools import lru_cache
 
-import numpy as np
-
-from ._sieve import prime_flags
+from ._sieve import prime_flags, window_primes
 
 # is_prime is exact below this bound (fixed witness set); probabilistic above.
 DETERMINISTIC_LIMIT = 1 << 64
@@ -25,7 +23,7 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
     """All primes up to `limit` inclusive, ascending, from the package's one
     sieve: the one cache of prime lists, for the small limits of primorials,
     smoothness checks and admissibility."""
-    return tuple(np.flatnonzero(prime_flags(limit)).tolist())
+    return tuple(window_primes(0, prime_flags(limit), limit).tolist())
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:

@@ -11,11 +11,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _sieve
-from ._sieve import SCAN_LIMIT, mem_budget, prime_flags, prime_windows
+from ._sieve import (
+    SCAN_LIMIT,
+    flag_index,
+    flag_integer,
+    mem_budget,
+    prime_flags,
+    prime_windows,
+    window_primes,
+)
 from .constants import hl_prediction
 from .errors import CapacityError
+from .primes import is_prime
 from .smoothness import smooth_numbers_up_to
-from .tuples import IntegerTuple, diameter
+from .tuples import IntegerTuple
 
 MAX_WITNESSES = 100
 
@@ -27,9 +36,10 @@ FFT_BYTES_PER_POINT = 32
 # Largest tolerated distance of an autocorrelation value from an integer.
 FFT_ROUNDOFF_GUARD = 0.25
 # Time of one point-times-log2-length step of the FFT autocorrelation over
-# one byte of the per-gap AND-and-count, measured with numpy 2 on x86-64
-# (about 4 ns against 0.17 ns).
-FFT_COST_PER_BYTE = 24
+# one table byte of the per-gap AND-and-count, on one thread, measured with
+# numpy 2 on x86-64 at x = 2^24 and 10^8 (about 3.9 ns against 0.19 ns;
+# the median of 10 ratios, which ranged from 17 to 30).
+FFT_COST_PER_BYTE = 21
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -114,21 +124,21 @@ def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
     return gaps if req.include_gap_one else gaps[1:]
 
 
-def _translate_counts(windows, H, ends, m: int | None, first: int):
-    """For each of the ascending ends e, the count of n in [1, e) with n + h
-    prime for every h in H, and the count of n with at least m of them prime
-    (the same count when m is None or len(H)); and the first `first` n of
-    the first kind. H ascends from 0.
+def _translate_counts(windows, shifts, ends, m: int | None, first: int):
+    """For each of the ascending ends e, the count of flag indices j in
+    [1, e) with flag j + s set for every s in shifts, and the count of j
+    with at least m of them set (the same count when m is None or
+    len(shifts)); and the first `first` j of the first kind. shifts ascend.
 
-    windows yields ascending, abutting (lo, flags) with flags[i] true iff
-    lo + i is prime; each covers the n in [lo, lo + len(flags) - max(H)),
-    and together they must cover the n below ends[-1]. Each window is
-    split at the ends inside it; each piece ANDs the shifted slices of
-    flags into one buffer and counts it. Only the at-least census fills a
-    tally per piece, in the narrowest unsigned dtype that holds len(H).
-    Nothing it allocates grows with the ends."""
-    census = m is not None and m < len(H)
-    top, reach = ends[-1], H[-1]
+    windows yields ascending, abutting (start, flags) with flags[i] the
+    flag of index start + i; each covers the j in [start, start +
+    len(flags) - max(shifts)), and together they must cover the j below
+    ends[-1]. Each window is split at the ends inside it; each piece ANDs
+    the shifted slices of flags into one buffer and counts it. Only the
+    at-least census adds a tally per piece, in the narrowest unsigned dtype
+    that holds len(shifts). Nothing it allocates grows with the ends."""
+    census = m is not None and m < len(shifts)
+    top, reach = ends[-1], shifts[-1]
     buf = np.empty(0, dtype=bool)
     counts, at_least, hits = [], [], []
     total, enough, i = 0, 0, 0  # ends[:i] are recorded
@@ -142,16 +152,17 @@ def _translate_counts(windows, H, ends, m: int | None, first: int):
             b = min(ends[i], stop)
             if len(buf) < b - a:
                 buf = np.empty(b - a, dtype=bool)
-            both = flags[a - lo : b - lo]
-            for h in H[1:]:
-                both = np.logical_and(both, flags[a - lo + h : b - lo + h], out=buf[: b - a])
+            both = flags[a - lo + shifts[0] : b - lo + shifts[0]]
+            for s in shifts[1:]:
+                both = np.logical_and(both, flags[a - lo + s : b - lo + s], out=buf[: b - a])
             total += int(np.count_nonzero(both))
             if len(hits) < first:
                 hits += (np.flatnonzero(both)[: first - len(hits)] + a).tolist()
             if census:
-                tally = np.zeros(b - a, dtype=np.min_scalar_type(len(H)))
-                for h in H:
-                    tally += flags[a - lo + h : b - lo + h]
+                ones = flags.view(np.uint8)  # adds without a cast from bool
+                tally = np.zeros(b - a, dtype=np.min_scalar_type(len(shifts)))
+                for s in shifts:
+                    tally += ones[a - lo + s : b - lo + s]
                 enough += int(np.count_nonzero(tally >= m))
             a = b
     counts += [total] * (len(ends) - i)
@@ -185,25 +196,27 @@ def _autocorrelation_sum(indicator: np.ndarray, lags: np.ndarray) -> int:
     return int(counts.astype(np.int64).sum())
 
 
-def _fft_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint over the even gaps, from one FFT
-    autocorrelation of the odd-only prime indicator per checkpoint prefix
-    (index t stands for 2t + 1): the even gap 2j is lag j."""
+def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
+    """Pair counts at each checkpoint c over the even gaps, from one FFT
+    autocorrelation of the prefix of the odd table that holds the odd
+    integers up to c: the even gap 2j is lag j."""
     lags = gaps // 2
-    return [_autocorrelation_sum(flags[1 : c + 1 : 2], lags) for c in checkpoints]
+    return [_autocorrelation_sum(table[: flag_index(c + 1)], lags) for c in checkpoints]
 
 
-def _per_gap_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint from the windowed kernel once per gap
-    s, with H = (0, s) and ends c - s + 1: the pairs (q, q + s) with
-    q + s <= c. Its windows are views flags[a : a + WINDOW + s] of the one
-    table. The gaps are spread over one thread per CPU: O(x) per gap and
-    one window buffer per thread beyond the flag table."""
+def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
+    """Pair counts at each checkpoint from the windowed kernel once per even
+    gap s, with shifts (0, s / 2) and ends at the odd integers below
+    c - s + 1: the pairs (q, q + s) with q + s <= c. Its windows are views
+    table[a : a + WINDOW + s / 2] of the odd table. The gaps are spread over
+    one thread per CPU: O(x) per gap and one window buffer per thread
+    beyond the table."""
 
     def count_gap(s: int) -> list[int]:
-        step = _sieve.WINDOW
-        windows = ((a, flags[a : a + step + s]) for a in range(0, len(flags) - s, step))
-        return _translate_counts(windows, (0, s), [c - s + 1 for c in checkpoints], None, 0)[0]
+        r, step = s // 2, _sieve.WINDOW
+        windows = ((a, table[a : a + step + r]) for a in range(0, len(table) - r, step))
+        ends = [flag_index(c - s + 1) for c in checkpoints]
+        return _translate_counts(windows, (0, r), ends, None, 0)[0]
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         partials = list(pool.map(count_gap, gaps))
@@ -211,14 +224,15 @@ def _per_gap_pair_counts(flags: np.ndarray, gaps: np.ndarray, checkpoints) -> li
 
 
 def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
-    """Whether the FFT kernel fits mem_budget() and its estimated time is
-    below the per-gap kernel's over the same gaps."""
-    largest = _fft_length((x + 1) // 2)
-    if x + 1 + FFT_BYTES_PER_POINT * largest > mem_budget():
+    """Whether the FFT kernel fits mem_budget() beside the odd table and its
+    estimated time is below the per-gap kernel's over the same even gaps,
+    which reads (x + 1 - s) / 2 table bytes per gap s."""
+    table_bytes = flag_index(x + 1)
+    if table_bytes + FFT_BYTES_PER_POINT * _fft_length(table_bytes) > mem_budget():
         return False
-    sizes = [_fft_length((c + 1) // 2) for c in checkpoints]
+    sizes = [_fft_length(flag_index(c + 1)) for c in checkpoints]
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
-    return fft_cost < len(gaps) * (x + 1) - int(gaps.sum())
+    return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
 
 
 def _cpu_count() -> int:
@@ -231,38 +245,41 @@ def _cpu_count() -> int:
 def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
-    An odd gap s pairs only (2, 2 + s), so odd gaps are counted here by one
-    lookup per checkpoint. The even gaps go to one of two exact kernels,
-    chosen per request by estimated time within the memory budget.
+    Both kernels read the odd table of prime_flags(x), (x + 1) / 2 bytes.
+    An odd gap s pairs only (2, 2 + s), and 2 is never a flag, so odd gaps
+    are counted here, from one lookup of the partners of 2. The even gaps go
+    to one of two exact kernels, chosen per request by estimated time within
+    the memory budget.
 
     _fft_pair_counts: one transform of length _fft_length((c + 1) // 2), in
     [c, 2c), per checkpoint c, O(c log c) each. That totals about 1.1 times
     the largest transform for checkpoints a factor of 10 apart, and up to
     len(checkpoints) times it when many checkpoints sit near x. It needs
     FFT_BYTES_PER_POINT bytes per point of the largest transform besides
-    the (x + 1)-byte flag table, so under the default 4 GB budget it runs
-    only for x <= 2^26 = 67,108,864.
+    the table, so under the default 4 GB budget it runs only for
+    x <= 2^26 = 67,108,864.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
     all, on one worker thread per CPU the process may run on, in no memory
-    beyond the flag table and a block buffer per thread. It takes the
-    requests the transform does not fit, so pairs mode is bounded in x
-    only by the flag table (x + 1 <= mem_budget()), and those with few
-    smooth gaps, such as y = 2 or 3.
+    beyond the table and a block buffer per thread. It takes the requests
+    the transform does not fit, so pairs mode is bounded in x only by the
+    table ((x + 1) / 2 <= mem_budget()), and those with few smooth gaps,
+    such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
     x = req.x_max
-    flags = prime_flags(x)  # over budget fails here, before the gaps are enumerated
+    table = prime_flags(x)  # over budget fails here, before the gaps are enumerated
     gaps = _gap_values(req, x - 2) if x > 2 else np.empty(0, dtype=np.int64)
     odd, even = gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
+    twos = odd[table[flag_index(2 + odd)]]  # the odd gaps s with 2 + s prime
     fft = _fft_is_cheaper(x, even, req.checkpoints)
-    counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(flags, even, req.checkpoints)
+    counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(table, even, req.checkpoints)
     records = tuple(
-        CheckpointRecord(c, n + int(np.count_nonzero(flags[2 + odd[odd <= c - 2]])))
+        CheckpointRecord(c, n + int(np.searchsorted(twos, c - 2, side="right")))
         for c, n in zip(req.checkpoints, counts)
     )
-    return ScanReport(req, records, _pair_witnesses(flags, gaps))
+    return ScanReport(req, records, _pair_witnesses(table, even, twos))
 
 
 def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
@@ -280,7 +297,7 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     witnesses = []
     carried = np.empty(0, dtype=np.int64)  # the last prime so far, once there is one
     for lo, flags in prime_windows(req.x_max):
-        primes = np.concatenate((carried, np.flatnonzero(flags) + lo))
+        primes = np.concatenate((carried, window_primes(lo, flags, req.x_max)))
         gaps = np.diff(primes)
         widest = int(gaps.max(initial=0))
         if widest >= len(smooth_gap):
@@ -302,17 +319,42 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     tuple translated to start at 0, so (5, 7) counts as (0, 2) does, with
     Hardy-Littlewood predictions in ratio and integral form.
 
-    With --at-least m, also the n with at least m of the n + h prime. One
-    pass of the windowed kernel over prime_windows(x - 1 + diameter) with
-    an overlap of the diameter: nothing it holds grows with x."""
+    With --at-least m, also the n with at least m of the n + h prime.
+
+    For n >= 3 an even n + h is composite, so the windowed kernel reads the
+    odd flags in two classes: odd n, where only the even h can give a
+    prime (shift h / 2), and even n, where only the odd h can, as
+    (n - 1) + (h + 1) (shift (h + 1) / 2). An admissible tuple, and any
+    tuple of one element, is all even, so it counts odd n only; a tuple
+    with an odd h has every n + h prime only at n <= 2, and its census adds
+    the two classes. n = 1 and 2 are checked directly. Each class that can
+    reach the count asked for is one pass of the kernel over
+    prime_windows(x - 1 + w, w), where w = 2 * max(shifts) is at most the
+    diameter plus one: nothing it holds grows with x."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
-    m = req.min_prime_count
-    d = diameter(H)
-    counts, at_least, hits = _translate_counts(
-        prime_windows(req.x_max - 1 + d, d), H.elements, req.checkpoints, m, MAX_WITNESSES
+    k, m = len(H), req.min_prime_count
+    need = k if m is None else m
+    direct = [(n, sum(is_prime(n + h) for h in H.elements)) for n in (1, 2) if n < req.x_max]
+    counts = [sum(t == k for n, t in direct if n < c) for c in req.checkpoints]
+    at_least = [sum(t >= need for n, t in direct if n < c) for c in req.checkpoints]
+    hits = [n for n, t in direct if t == k]
+    classes = (
+        (0, [h // 2 for h in H.elements if h % 2 == 0]),  # odd n
+        (1, [(h + 1) // 2 for h in H.elements if h % 2]),  # even n, indexed as n - 1
     )
+    for offset, shifts in classes:
+        if len(shifts) < need:
+            continue  # no n of this class has that many n + h prime
+        w = 2 * shifts[-1]
+        windows = ((flag_index(lo), flags) for lo, flags in prime_windows(req.x_max - 1 + w, w))
+        ends = [flag_index(c - offset) for c in req.checkpoints]
+        full, enough, found = _translate_counts(windows, shifts, ends, m, MAX_WITNESSES - len(hits))
+        at_least = [a + b for a, b in zip(at_least, enough)]
+        if len(shifts) == k:  # the odd n of an all-even tuple
+            counts = [a + b for a, b in zip(counts, full)]
+            hits += map(flag_integer, found)
     records = []
     for c, count, enough in zip(req.checkpoints, counts, at_least):
         ratio_pred = integral_pred = ratio = None
@@ -335,15 +377,17 @@ def run_scan(req: ScanRequest) -> ScanReport:
     return count_tuple_translates(req)
 
 
-def _pair_witnesses(flags: np.ndarray, gaps: np.ndarray):
-    """Earliest pairs (q, p) ordered by p then q ascending, capped."""
+def _pair_witnesses(table: np.ndarray, even: np.ndarray, twos: np.ndarray):
+    """Earliest pairs (q, p) ordered by p then q ascending, capped: (2, 2 + s)
+    for s in twos, then the odd q = p - s for the even gaps s."""
     out = []
-    for p in itertools.compress(itertools.count(), flags):
-        hi = np.searchsorted(gaps, p - 2, side="right")
-        for s in gaps[:hi][::-1].tolist():  # descending gap: ascending q
-            q = p - s
-            if flags[q]:
-                out.append((q, p))
-                if len(out) == MAX_WITNESSES:
-                    return tuple(out)
+    k = 0  # the pairs (2, 2 + s) for s in twos[:k] are out
+    for p in map(flag_integer, itertools.compress(itertools.count(), table)):
+        if k < len(twos) and twos[k] + 2 == p:
+            out.append((2, p))
+            k += 1
+        qs = p - even[: np.searchsorted(even, p - 3, side="right")][::-1]  # ascending q >= 3
+        out += [(q, p) for q in qs[table[flag_index(qs)]].tolist()]
+        if len(out) >= MAX_WITNESSES:
+            return tuple(out[:MAX_WITNESSES])
     return tuple(out)

@@ -97,6 +97,18 @@ def brute_pair_count(x: int, y: int, include_gap_one: bool = True) -> int:
     return count
 
 
+def brute_pairs(x: int, y: int, include_gap_one: bool = True) -> list:
+    """Every pair (q, p) of primes q < p <= x with a y-smooth gap, ordered
+    by p, then q."""
+    primes = trial_primes(x)
+    pairs = [
+        (q, p)
+        for q, p in itertools.combinations(primes, 2)
+        if (p - q > 1 or include_gap_one) and brute_is_smooth(p - q, y)
+    ]
+    return sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+
+
 def brute_consecutive_pairs(x: int, y: int, include_gap_one: bool = True) -> list:
     primes = trial_primes(x)
     pairs = []

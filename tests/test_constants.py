@@ -92,9 +92,9 @@ def test_brute_coverage_is_bit_identical():
 @pytest.mark.parametrize("elements", [(0,), (0, 2), (0, 4, 6, 10), (0, 6, 42, 48), (0, 6, 82)])
 @pytest.mark.parametrize("cutoff", [91, 111, 3000])
 def test_windowed_sum_matches_unwindowed(monkeypatch, elements, cutoff):
-    # windows of 37 integers: head primes up to the diameter span windows
-    # (82 = 2 * 41 leaves v_41 = 2 in the second), and the sum of
-    # per-window sums differs only in rounding
+    # windows of 37 flags, 74 integers: head primes up to the diameter
+    # span windows (79 is in the second; 82 = 2 * 41 leaves v_41 = 2), and
+    # the sum of per-window sums differs only in rounding
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     H = IntegerTuple(elements)
     assert singular_series(H, cutoff).value == pytest.approx(

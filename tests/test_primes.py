@@ -1,6 +1,6 @@
 import pytest
 
-from smoothgap._sieve import prime_flags, prime_windows
+from smoothgap._sieve import flag_index, prime_flags, prime_windows, window_primes
 from smoothgap.errors import CapacityError
 from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
@@ -21,6 +21,8 @@ def test_sieve_counts():
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 97, 1000, 10**5])
 def test_sieve_matches_trial_division(limit):
     assert list(_primes_upto(limit)) == trial_primes(limit)
+    # the table flags the odd integers up to limit: none at 0, 1 alone at 1 and 2
+    assert prime_flags(limit).tolist() == [trial_is_prime(n) for n in range(1, limit + 1, 2)]
 
 
 def test_sieve_negative_limit():
@@ -30,13 +32,14 @@ def test_sieve_negative_limit():
 
 def test_prime_flags_counts():
     flags = prime_flags(10**7)
-    pi = [int(flags[: 10**k + 1].sum()) for k in range(1, 8)]
+    # the prime 2 is never a flag
+    pi = [1 + int(flags[: flag_index(10**k + 1)].sum()) for k in range(1, 8)]
     assert pi == [4, 25, 168, 1229, 9592, 78498, 664579]
-    assert int(flags[10**6 : 2 * 10**6].sum()) == 70435
+    assert int(flags[flag_index(10**6) : flag_index(2 * 10**6)].sum()) == 70435
 
 
 def test_prime_flags_matches_simple_sieve():
-    assert prime_flags(10**5).tolist() == [bool(b) for b in simple_sieve(10**5)]
+    assert prime_flags(10**5).tolist() == [bool(b) for b in simple_sieve(10**5)[1::2]]
 
 
 def test_prime_flags_guards(monkeypatch):
@@ -46,24 +49,29 @@ def test_prime_flags_guards(monkeypatch):
         prime_flags(10**12 + 1)
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
     with pytest.raises(CapacityError):
-        prime_flags(1000)
-    assert prime_flags(999).sum() == 168
+        prime_flags(2001)  # 1001 odd integers
+    assert len(window_primes(0, prime_flags(2000), 2000)) == 303
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 36, 37, 38, 73, 74, 75, 1000, 1010])
-@pytest.mark.parametrize("overlap", [0, 1, 2, 36, 37, 50])
+@pytest.mark.parametrize(
+    "limit", [0, 1, 2, 3, 36, 37, 38, 73, 74, 75, 147, 148, 149, 1000, 1010]
+)
+@pytest.mark.parametrize("overlap", [0, 1, 2, 36, 37, 50, 74, 75, 76])
 def test_prime_windows_match_simple_sieve(monkeypatch, limit, overlap):
-    # windows of 37 integers: 0, 1 and 2 in the first, a limit off the
-    # window grid, and overlaps past a window, which widen the step
+    # windows of 37 flags, 74 integers: 0, 1 and 2 in the first, a limit
+    # off the window grid, and overlaps past a window, which widen the step
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    expected = [bool(b) for b in simple_sieve(limit)][: limit + 1]
-    step = max(37, overlap)
+    sieve = simple_sieve(limit)
+    step = 2 * max(37, (overlap + 1) // 2)
     got = [(lo, window.tolist()) for lo, window in prime_windows(limit, overlap)]
     assert [lo for lo, _ in got] == list(range(0, limit + 1 - overlap, step))
     for lo, window in got:
-        assert window == expected[lo : lo + step + overlap]
+        # the odd integers in [lo, lo + step + overlap], up to limit
+        top = min(lo + step + overlap, limit)
+        assert window == [bool(sieve[n]) for n in range(lo + 1, top + 1, 2)]
     if not overlap:
-        assert sum((window for _, window in got), []) == expected
+        primes = [p for lo, w in prime_windows(limit) for p in window_primes(lo, w, limit).tolist()]
+        assert primes == trial_primes(limit)
 
 
 def test_prime_windows_check_limit_at_the_call(monkeypatch):
@@ -74,17 +82,17 @@ def test_prime_windows_check_limit_at_the_call(monkeypatch):
     # the full table is held to the budget, and windows only when an
     # overlap wider than WINDOW makes them as wide as the input asks
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
-    assert sum(int(w.sum()) for _, w in prime_windows(10**5)) == 9592
+    assert sum(len(window_primes(lo, w, 10**5)) for lo, w in prime_windows(10**5)) == 9592
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    prime_windows(10**5, 37)
-    prime_windows(999, 500)  # 1000 bytes: the limit caps the window
+    prime_windows(10**5, 74)
+    prime_windows(1500, 1001)  # 750 bytes: the limit caps the window
     with pytest.raises(CapacityError):
-        prime_windows(10**5, 501)  # 2 * 501 bytes
+        prime_windows(10**5, 1001)  # (1002 + 1001 + 1) / 2 bytes
 
 
 @pytest.mark.slow
 def test_prime_flags_pi_1e9():
-    assert int(prime_flags(10**9).sum()) == 50847534
+    assert 1 + int(prime_flags(10**9).sum()) == 50847534
 
 
 def test_is_prime_examples():

@@ -11,7 +11,7 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import WINDOW, prime_flags, prime_windows
+from smoothgap._sieve import WINDOW, flag_index, prime_flags, prime_windows
 from smoothgap.primes import _primes_upto
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
@@ -19,6 +19,7 @@ from smoothgap.scan import (
     ScanRequest,
     _fft_pair_counts,
     _gap_values,
+    _per_gap_pair_counts,
     _translate_counts,
     count_consecutive_smooth_gap_pairs,
     count_smooth_gap_pairs,
@@ -31,6 +32,7 @@ from tests.oracles import (
     brute_consecutive_count,
     brute_consecutive_pairs,
     brute_pair_count,
+    brute_pairs,
     brute_translate_count,
     simple_sieve,
     trial_primes,
@@ -104,9 +106,10 @@ def test_consecutive_hand_examples():
 @pytest.mark.parametrize("gap_one", [True, False])
 def test_pairs_match_oracle(y, gap_one):
     req = ScanRequest(2000, "pairs", y=y, include_gap_one=gap_one)
-    assert count_smooth_gap_pairs(req).records[0].count == brute_pair_count(
-        2000, y, gap_one
-    )
+    report = count_smooth_gap_pairs(req)
+    assert report.records[0].count == brute_pair_count(2000, y, gap_one)
+    # more than MAX_WITNESSES pairs: the witnesses stop at the cap
+    assert report.witnesses == tuple(brute_pairs(2000, y, gap_one)[:MAX_WITNESSES])
 
 
 def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
@@ -160,12 +163,12 @@ def test_odd_gaps_reach_neither_kernel(fft, monkeypatch):
         seen.extend(map(int, gaps))
         return _fft_pair_counts(flags, gaps, checkpoints)
 
-    def translate_counts(flags, H, *args):
-        seen.append(H[-1])
-        return _translate_counts(flags, H, *args)
+    def per_gap_counts(table, gaps, checkpoints):
+        seen.extend(map(int, gaps))
+        return _per_gap_pair_counts(table, gaps, checkpoints)
 
     monkeypatch.setattr("smoothgap.scan._fft_pair_counts", fft_counts)
-    monkeypatch.setattr("smoothgap.scan._translate_counts", translate_counts)
+    monkeypatch.setattr("smoothgap.scan._per_gap_pair_counts", per_gap_counts)
     req = ScanRequest(3000, "pairs", y=3, checkpoints=(100, 3000))
     expected = [brute_pair_count(c, 3, True) for c in req.checkpoints]
     assert _counts_by_kernel(monkeypatch, req, fft) == expected
@@ -219,14 +222,15 @@ def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
     monkeypatch.setattr(
         "smoothgap.scan._fft_pair_counts", lambda *a: calls.append(a) or [0, 0]
     )
-    need = x + 1 + FFT_BYTES_PER_POINT * 2**17  # transform length 2^17 >= x
+    table = (x + 1) // 2  # the odd integers up to x
+    need = table + FFT_BYTES_PER_POINT * 2**17  # transform length 2^17 >= 2 * table
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need))
     count_smooth_gap_pairs(req)
     assert len(calls) == 1
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need - 1))
     assert scan_report_json(count_smooth_gap_pairs(req)) == reference
     assert len(calls) == 1
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(x))  # flag table over budget
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(table - 1))  # table over budget
     with pytest.raises(CapacityError):
         count_smooth_gap_pairs(req)
 
@@ -237,7 +241,8 @@ def test_pairs_check_the_flag_table_before_enumerating_gaps(monkeypatch):
 
     monkeypatch.setattr("smoothgap.scan.smooth_numbers_up_to", enumerate_gaps)
     x = 10**5
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(x))  # below the x + 1 flag bytes
+    # below the (x + 1) / 2 bytes of the odd table
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str((x + 1) // 2 - 1))
     with pytest.raises(CapacityError):
         count_smooth_gap_pairs(ScanRequest(x, "pairs", y=47))
 
@@ -282,15 +287,16 @@ def test_consecutive_match_oracle(y):
     assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
 
 
-@pytest.mark.parametrize("window", [5, 37])
+@pytest.mark.parametrize("window", [5, 37, 1, 3])
 @pytest.mark.parametrize("gap_one", [True, False])
 @pytest.mark.parametrize("y", [2, 3, 47])
 def test_consecutive_match_oracle_across_windows(monkeypatch, window, gap_one, y):
-    # small windows: gaps straddle window edges, (31, 37) among them, and
-    # the gap from 89 to 97 spans the empty window [90, 95)
+    # small windows of 2 * window integers: gaps straddle window edges,
+    # (2, 3) with one flag per window, (31, 37) with 3 and (73, 79) with 37,
+    # and with 3 the gap from 89 to 97 spans the empty window [90, 96)
     monkeypatch.setattr("smoothgap._sieve.WINDOW", window)
     x = 3000
-    checkpoints = (36, 37, 38, 95, 1110, 2999, x)
+    checkpoints = (1, 2, 3, 4, 36, 37, 38, 73, 74, 75, 95, 1110, 2999, x)
     req = ScanRequest(
         x, "consecutive-pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one
     )
@@ -302,17 +308,24 @@ def test_consecutive_match_oracle_across_windows(monkeypatch, window, gap_one, y
     assert report.witnesses == tuple(pairs[:MAX_WITNESSES])
 
 
-@pytest.mark.parametrize("elements", [(0, 2), (0, 2, 6, 8), (0, 40), (0, 6, 42, 48)])
+@pytest.mark.parametrize(
+    "elements",
+    [
+        (0, 2), (0, 2, 6, 8), (0, 40), (0, 6, 42, 48),
+        (0,), (0, 1), (0, 3), (0, 1, 2), (0, 90), (0, 75),
+    ],
+)
 def test_translates_match_oracle_across_windows(monkeypatch, elements):
-    # windows of 37 integers, checkpoints on and next to window edges, and
-    # tuples wider than a window
+    # windows of 37 flags, 74 integers, checkpoints at n <= 4 and on and
+    # next to window edges, tuples wider than a window, and tuples with odd
+    # elements, which have all-prime translates only at n <= 2
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     x = 37 * 81
-    checkpoints = (36, 37, 38, 74, 111, 1000, 2996, x)
+    checkpoints = (1, 2, 3, 4, 73, 74, 75, 148, 149, 1000, 2996, x)
     flags = simple_sieve(x + max(elements))
     tallies = [sum(flags[n + h] for h in elements) for n in range(x)]
     hits = [n for n in range(1, x) if tallies[n] == len(elements)]
-    for m in (None, 1, len(elements)):
+    for m in (None, *range(1, len(elements) + 1)):
         req = ScanRequest(
             x, "tuple-translates", tuple=IntegerTuple(elements),
             checkpoints=checkpoints, min_prime_count=m,
@@ -386,15 +399,16 @@ def test_translates_tuple_wider_than_a_byte(monkeypatch):
         assert report.witnesses == ((257,),)
 
 
-def brute_translates(H, ends, m, first):
-    """_translate_counts' results by a plain loop over every n."""
+def brute_translates(shifts, ends, m, first):
+    """_translate_counts' results by a plain loop over every flag index j,
+    flag j standing for 2j + 1 as in the odd table."""
     top = max(ends)
-    flags = simple_sieve(max(top, 1) + max(H))
-    tallies = [sum(flags[n + h] for h in H) for n in range(top)]
-    below = [tallies[1 : max(e, 1)] for e in ends]  # the n in [1, e)
-    counts = [sum(t == len(H) for t in ts) for ts in below]
+    flags = simple_sieve(2 * (max(top, 1) + max(shifts)) + 1)
+    tallies = [sum(flags[2 * (j + s) + 1] for s in shifts) for j in range(top)]
+    below = [tallies[1 : max(e, 1)] for e in ends]  # the j in [1, e)
+    counts = [sum(t == len(shifts) for t in ts) for ts in below]
     at_least = counts if m is None else [sum(t >= m for t in ts) for ts in below]
-    hits = [n for n in range(1, top) if tallies[n] == len(H)][:first]
+    hits = [j for j in range(1, top) if tallies[j] == len(shifts)][:first]
     return counts, at_least, hits
 
 
@@ -402,34 +416,38 @@ def brute_translates(H, ends, m, first):
     "H, ends",
     [
         ((0,), (1, 2, 3)),
-        ((0, 2), (1,)),
-        ((0, 2), (2,)),
-        ((0, 2), (3,)),
-        ((0, 5), (-3, 0, 1, 40)),  # per-gap ends c - s + 1 may be below 1
-        ((0, 2), (5, 36, 37, 38, 74, 75, 5000)),  # the 100th twin is 3821
-        ((0, 2, 6), (40, 1000, 3000)),
-        ((0, 2, 4), (10, 100)),
-        ((0, 4, 6, 10, 12, 16), (2000,)),
+        ((0, 1), (1,)),
+        ((0, 1), (2,)),
+        ((0, 1), (3,)),
+        ((0, 5), (-3, 0, 1, 40)),  # per-gap ends at c - s + 1 may be below 1
+        ((0, 1), (5, 36, 37, 38, 74, 75, 2500)),  # the 100th twin is 3821, flag 1910
+        ((0, 1, 3), (20, 500, 1500)),
+        ((0, 1, 2), (5, 50)),  # (3, 5, 7) at flag 1
+        ((0, 2, 3, 5, 6, 8), (1000,)),
+        ((1, 3), (1, 2, 40, 74, 75)),  # the even n of a tuple with odd elements
     ],
 )
 def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
-    # windows of 37 integers: checkpoints fall inside and on window edges,
-    # both from the sieve's windows and from views of one table
+    # H holds the kernel's shifts and ends its flag indices; windows of 37
+    # flags: ends fall inside and on window edges, both from the sieve's
+    # windows and from views of one odd table
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    d = max(H)
-    limit = max(max(ends), 1) - 1 + d
+    r = max(H)
+    limit = 2 * (max(max(ends), 1) - 1 + r) + 1  # the odd integer of the last flag read
     table = prime_flags(limit)
     for m in (None, 1, max(1, len(H) - 1), len(H)):
         for first in (0, 3, MAX_WITNESSES):
             expected = brute_translates(H, ends, m, first)
-            assert _translate_counts(prime_windows(limit, d), H, ends, m, first) == expected
-            views = ((a, table[a : a + 37 + d]) for a in range(0, len(table) - d, 37))
+            windows = ((flag_index(lo), w) for lo, w in prime_windows(limit, 2 * r))
+            assert _translate_counts(windows, H, ends, m, first) == expected
+            views = ((a, table[a : a + 37 + r]) for a in range(0, len(table) - r, 37))
             assert _translate_counts(views, H, ends, m, first) == expected
 
 
 def test_windowed_passes_peak_allocation_is_a_few_windows():
     # translate, consecutive-pairs and singular-series passes fold over
-    # prime windows: their peak is a few windows' bytes, not x bytes
+    # prime windows: their peak is a few windows' bytes, not x bytes, with
+    # the primes of a window (of 2 * WINDOW integers) as int64 or float64
     x = 3 * 10**7
     H = IntegerTuple((0, 2, 6, 8))
     passes = [
@@ -446,12 +464,13 @@ def test_windowed_passes_peak_allocation_is_a_few_windows():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * WINDOW
+        assert peak < 12 * WINDOW
 
 
 def test_windowed_passes_need_no_x_byte_budget(monkeypatch):
-    # a budget below x bytes: only a tuple wider than WINDOW, whose windows
-    # are as wide as the tuple, is held to it
+    # a budget below the (x + 1) / 2 bytes of the odd table: only a tuple
+    # wider than a window, whose windows hold as many flags as the tuple is
+    # wide, is held to it
     x = 10**5
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**4))
     twins = ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 2)))
@@ -460,7 +479,7 @@ def test_windowed_passes_need_no_x_byte_budget(monkeypatch):
     assert count_consecutive_smooth_gap_pairs(consecutive).records[0].count == 9592 - 1
     assert singular_series(IntegerTuple((0, 2)), x).admissible
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    wide = ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 6000)))
+    wide = ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 12000)))
     with pytest.raises(CapacityError):
         count_tuple_translates(wide)
 
