@@ -1,15 +1,16 @@
 """The package's one sieve, and the allocation budget that bounds its tables.
 
-Every table and window of prime flags holds the odd integers only: flag i
-of a window starting at an even lo stands for lo + 2i + 1, and a full table
-from prime_flags is the window at lo = 0. The prime 2 is never a flag.
-Only this module turns a flag's index into the integer it stands for."""
+Every table and window of prime flags holds the odd integers only, keyed by
+flag index: flag i of a window starting at index start stands for
+2 * (start + i) + 1, and a full table from prime_flags is the window at
+start 0. The prime 2 is never a flag."""
 
 from __future__ import annotations
 
 import math
 import os
 from collections.abc import Iterator
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,36 +39,32 @@ def mem_budget() -> int:
     return budget
 
 
-def flag_index(n):
-    """The index of odd n in a table from prime_flags. For any n it is also
-    the number of odd integers in [0, n), so flags[:flag_index(n)] are the
-    flags of the odd integers below n. Takes integers or integer arrays."""
-    return n // 2
-
-
-def flag_integer(i):
-    """The odd integer that flag i of a table from prime_flags stands for.
-    Takes integers or integer arrays."""
-    return 2 * i + 1
-
-
-def window_primes(lo: int, flags: np.ndarray, limit: int) -> np.ndarray:
-    """The primes of a window at lo from prime_windows(limit), or of
-    prime_flags(limit) at lo = 0, ascending as int64: 2 first in the window
-    at lo = 0 once limit reaches it, then the flagged odd integers."""
-    primes = flags.nonzero()[0]  # flag_integer(i) + lo, in place
+def _window_primes(start: int, flags: np.ndarray, limit: int) -> np.ndarray:
+    """The primes of a window at start from prime_windows(limit), or of
+    prime_flags(limit) at start 0, ascending as int64: 2 first in the window
+    at start 0 once limit reaches it, then the flagged odd integers."""
+    primes = flags.nonzero()[0]  # 2 * (start + i) + 1, in place
     primes *= 2
-    primes += lo + 1
-    return np.concatenate(([2], primes)) if lo == 0 and limit >= 2 else primes
+    primes += 2 * start + 1
+    return np.concatenate(([2], primes)) if start == 0 and limit >= 2 else primes
 
 
-def sieve_window(out: np.ndarray, lo: int, base: list[int]) -> np.ndarray:
-    """Fill out so that out[i] is true iff lo + 2i + 1 is prime, and return
-    it. lo is even; base holds, ascending from 2, at least every prime up to
-    sqrt(lo + 2 * len(out) - 1).
+@lru_cache(maxsize=256)
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """All primes up to `limit` inclusive, ascending: the one cache of prime
+    lists, for the base primes of the sieve and the small limits of
+    primorials, smoothness checks and admissibility."""
+    return tuple(_window_primes(0, prime_flags(limit), limit).tolist())
+
+
+def sieve_window(out: np.ndarray, start: int, base: tuple[int, ...]) -> np.ndarray:
+    """Fill out so that out[i] is true iff 2 * (start + i) + 1 is prime, and
+    return it. base holds, ascending from 2, at least every prime up to
+    sqrt(2 * (start + len(out)) - 1).
 
     The one strike loop of the package. It is public so that a traced run
     (bench/trace_child.py) times each window in the sieve layer."""
+    lo = 2 * start
     hi = lo + 2 * len(out)
     out.fill(True)
     for p in base[1:]:
@@ -77,69 +74,66 @@ def sieve_window(out: np.ndarray, lo: int, base: list[int]) -> np.ndarray:
         # p flags apart
         first = max(p * p, -(-lo // p) * p)
         out[(first + p * (first % 2 == 0) - lo) // 2 :: p] = False
-    if lo == 0:
+    if start == 0:
         out[:1] = False  # 1
     return out
 
 
-def _base_primes(limit: int) -> list[int]:
-    """The primes up to sqrt(limit), from prime_windows(sqrt(limit)): a
-    single window for any limit up to SCAN_LIMIT."""
-    root = math.isqrt(limit)
-    if root < 2:
-        return []
-    return [p for lo, w in prime_windows(root) for p in window_primes(lo, w, root).tolist()]
-
-
-def _check_limit(limit: int) -> None:
+def _check_limit(limit: int, reach: int = 0) -> None:
+    """Reject a negative limit, and windows that would start past SCAN_LIMIT:
+    a scan to x reads up to 2 * reach integers beyond it."""
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit > SCAN_LIMIT:
+    if limit - 2 * reach > SCAN_LIMIT:
         raise CapacityError(f"limit {limit} exceeds the desk-scale guard {SCAN_LIMIT}")
 
 
-def prime_windows(limit: int, overlap: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """The primes up to limit, a window at a time: pairs (lo, flags) with
-    flags[i] true iff lo + 2i + 1 is prime, for lo = 0, s, 2s, ... up to
-    limit - overlap, where the step s = 2 * max(WINDOW, ceil(overlap / 2))
-    integers. Each window holds the flags of the odd integers in
-    [lo, lo + s + overlap], fewer where it would pass limit, so the overlap
-    integers after a step are also in its window.
+def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """The primes up to limit, a window at a time, keyed by flag index:
+    pairs (start, flags) with flags[i] true iff 2 * (start + i) + 1 is
+    prime, for start = 0, s, 2s, ... while 2 * start <= limit - 2 * reach,
+    where the step s = max(WINDOW, reach) flags. Each window holds s + reach
+    flags, fewer where it would pass limit, so the reach flags after a step
+    are also in its window. A kernel that reads flag j + h for h up to reach
+    reads the j of each window's first s flags.
 
     The flags array is reused for the next window: copy what must outlive a
-    step. Memory is O(sqrt(limit) + s + overlap). limit is checked here,
-    before anything is sieved, and so is an overlap wider than a window: it
-    makes the windows as wide as the input asks, so they must fit
-    mem_budget()."""
-    _check_limit(limit)
-    step = 2 * max(WINDOW, (overlap + 1) // 2)
-    size = min(flag_index(step + overlap + 1), flag_index(limit + 1))
-    if overlap > 2 * WINDOW and size > mem_budget():
+    step. Memory is O(sqrt(limit) + s + reach). limit is checked here,
+    before anything is sieved: the windows start at or below the desk-scale
+    guard. So is a reach wider than a window: it makes the windows as wide
+    as the input asks, so they must fit mem_budget(). The base primes up to
+    sqrt(limit) come from prime_flags, and their table of sqrt(limit) / 2
+    bytes must fit it too."""
+    _check_limit(limit, reach)
+    step = max(WINDOW, reach)
+    end = (limit + 1) // 2  # the flags of the odd integers up to limit
+    size = min(step + reach, end)
+    if reach > WINDOW and size > mem_budget():
         raise CapacityError(
-            f"windows with an overlap of {overlap} need {size} bytes, over budget {mem_budget()}"
+            f"windows with an overlap of {2 * reach} need {size} bytes, over budget {mem_budget()}"
         )
-    base = _base_primes(limit)
+    base = _primes_upto(math.isqrt(limit))
     buf = np.empty(size, dtype=bool)
     return (
-        (lo, sieve_window(buf[: flag_index(limit + 1 - lo)], lo, base))
-        for lo in range(0, limit + 1 - overlap, step)
+        (start, sieve_window(buf[: end - start], start, base))
+        for start in range(0, limit // 2 - reach + 1, step)
     )
 
 
 def prime_flags(limit: int) -> np.ndarray:
-    """The window at lo = 0 that reaches limit: flags[i] true iff 2i + 1 is
+    """The window at start 0 that reaches limit: flags[i] true iff 2i + 1 is
     prime, for the (limit + 1) // 2 odd integers up to limit. Its bytes must
     fit mem_budget(). For the callers that need random access; a pass that
     reads the primes in order folds over prime_windows instead. Each window
     is sieved in place, in its slice of the table."""
     _check_limit(limit)
-    size = flag_index(limit + 1)
+    size = (limit + 1) // 2
     if size > mem_budget():
         raise CapacityError(
             f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
         )
     flags = np.empty(size, dtype=bool)
-    base = _base_primes(limit)
+    base = _primes_upto(math.isqrt(limit)) if limit >= 4 else ()  # the recursion ends below 4
     for i in range(0, size, WINDOW):
-        sieve_window(flags[i : i + WINDOW], 2 * i, base)
+        sieve_window(flags[i : i + WINDOW], i, base)
     return flags

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._sieve import prime_windows, window_primes
+from ._sieve import _window_primes, prime_windows
 from .primes import largest_prime_leq
 from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
@@ -71,8 +71,8 @@ def singular_series(H: IntegerTuple, prime_cutoff: int) -> SingularSeriesEstimat
     if not is_admissible(H):
         return SingularSeriesEstimate(0.0, k, prime_cutoff, tail, False)
     total = 0.0
-    for lo, flags in prime_windows(prime_cutoff):
-        primes = window_primes(lo, flags, prime_cutoff).astype(np.float64)
+    for start, flags in prime_windows(prime_cutoff):
+        primes = _window_primes(start, flags, prime_cutoff).astype(np.float64)
         small = primes[: np.searchsorted(primes, d, side="right")]
         head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
         k_logs = k * np.log1p(-1.0 / primes)

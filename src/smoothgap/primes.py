@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
 
-from ._sieve import prime_flags, window_primes
+from ._sieve import _primes_upto
 
 # is_prime is exact below this bound (fixed witness set); probabilistic above.
 DETERMINISTIC_LIMIT = 1 << 64
@@ -16,14 +15,6 @@ MR_ROUNDS = 40
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sufficient witness set for all n < 2^64 (miller-rabin.appspot.com).
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-
-@lru_cache(maxsize=256)
-def _primes_upto(limit: int) -> tuple[int, ...]:
-    """All primes up to `limit` inclusive, ascending, from the package's one
-    sieve: the one cache of prime lists, for the small limits of primorials,
-    smoothness checks and admissibility."""
-    return tuple(window_primes(0, prime_flags(limit), limit).tolist())
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:

@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _sieve
-from ._sieve import (
-    SCAN_LIMIT,
-    flag_index,
-    flag_integer,
-    mem_budget,
-    prime_flags,
-    prime_windows,
-    window_primes,
-)
+from ._sieve import SCAN_LIMIT, _window_primes, mem_budget, prime_flags, prime_windows
 from .constants import hl_prediction
 from .errors import CapacityError
 from .primes import is_prime
@@ -131,19 +123,20 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
     len(shifts)); and the first `first` j of the first kind. shifts ascend.
 
     windows yields ascending, abutting (start, flags) with flags[i] the
-    flag of index start + i; each covers the j in [start, start +
-    len(flags) - max(shifts)), and together they must cover the j below
-    ends[-1]. Each window is split at the ends inside it; each piece ANDs
-    the shifted slices of flags into one buffer and counts it. Only the
-    at-least census adds a tally per piece, in the narrowest unsigned dtype
-    that holds len(shifts). Nothing it allocates grows with the ends."""
+    flag of index start + i, the shape of prime_windows(limit, shifts[-1])
+    and of views of a prime_flags table; each covers the j in [start,
+    start + len(flags) - shifts[-1]), and together they must cover the j
+    below ends[-1]. Each window is split at the ends inside it; each piece
+    ANDs the shifted slices of flags into one buffer and counts it. Only
+    the at-least census adds a tally per piece, in the narrowest unsigned
+    dtype that holds len(shifts). Nothing it allocates grows with the ends."""
     census = m is not None and m < len(shifts)
     top, reach = ends[-1], shifts[-1]
     buf = np.empty(0, dtype=bool)
     counts, at_least, hits = [], [], []
     total, enough, i = 0, 0, 0  # ends[:i] are recorded
-    for lo, flags in windows:
-        a, stop = max(lo, 1), min(lo + len(flags) - reach, top)
+    for start, flags in windows:
+        a, stop = max(start, 1), min(start + len(flags) - reach, top)
         while a < stop:
             while ends[i] <= a:
                 counts.append(total)
@@ -152,9 +145,9 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
             b = min(ends[i], stop)
             if len(buf) < b - a:
                 buf = np.empty(b - a, dtype=bool)
-            both = flags[a - lo + shifts[0] : b - lo + shifts[0]]
+            both = flags[a - start + shifts[0] : b - start + shifts[0]]
             for s in shifts[1:]:
-                both = np.logical_and(both, flags[a - lo + s : b - lo + s], out=buf[: b - a])
+                both = np.logical_and(both, flags[a - start + s : b - start + s], out=buf[: b - a])
             total += int(np.count_nonzero(both))
             if len(hits) < first:
                 hits += (np.flatnonzero(both)[: first - len(hits)] + a).tolist()
@@ -162,7 +155,7 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
                 ones = flags.view(np.uint8)  # adds without a cast from bool
                 tally = np.zeros(b - a, dtype=np.min_scalar_type(len(shifts)))
                 for s in shifts:
-                    tally += ones[a - lo + s : b - lo + s]
+                    tally += ones[a - start + s : b - start + s]
                 enough += int(np.count_nonzero(tally >= m))
             a = b
     counts += [total] * (len(ends) - i)
@@ -201,7 +194,7 @@ def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[i
     autocorrelation of the prefix of the odd table that holds the odd
     integers up to c: the even gap 2j is lag j."""
     lags = gaps // 2
-    return [_autocorrelation_sum(table[: flag_index(c + 1)], lags) for c in checkpoints]
+    return [_autocorrelation_sum(table[: (c + 1) // 2], lags) for c in checkpoints]
 
 
 def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
@@ -215,7 +208,7 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
     def count_gap(s: int) -> list[int]:
         r, step = s // 2, _sieve.WINDOW
         windows = ((a, table[a : a + step + r]) for a in range(0, len(table) - r, step))
-        ends = [flag_index(c - s + 1) for c in checkpoints]
+        ends = [(c - s + 1) // 2 for c in checkpoints]
         return _translate_counts(windows, (0, r), ends, None, 0)[0]
 
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
@@ -227,10 +220,10 @@ def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
     """Whether the FFT kernel fits mem_budget() beside the odd table and its
     estimated time is below the per-gap kernel's over the same even gaps,
     which reads (x + 1 - s) / 2 table bytes per gap s."""
-    table_bytes = flag_index(x + 1)
+    table_bytes = (x + 1) // 2
     if table_bytes + FFT_BYTES_PER_POINT * _fft_length(table_bytes) > mem_budget():
         return False
-    sizes = [_fft_length(flag_index(c + 1)) for c in checkpoints]
+    sizes = [_fft_length((c + 1) // 2) for c in checkpoints]
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
     return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
 
@@ -272,7 +265,7 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     table = prime_flags(x)  # over budget fails here, before the gaps are enumerated
     gaps = _gap_values(req, x - 2) if x > 2 else np.empty(0, dtype=np.int64)
     odd, even = gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
-    twos = odd[table[flag_index(2 + odd)]]  # the odd gaps s with 2 + s prime
+    twos = odd[table[(2 + odd) // 2]]  # the odd gaps s with 2 + s prime
     fft = _fft_is_cheaper(x, even, req.checkpoints)
     counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(table, even, req.checkpoints)
     records = tuple(
@@ -296,8 +289,8 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     counts = np.zeros(len(req.checkpoints), dtype=np.int64)
     witnesses = []
     carried = np.empty(0, dtype=np.int64)  # the last prime so far, once there is one
-    for lo, flags in prime_windows(req.x_max):
-        primes = np.concatenate((carried, window_primes(lo, flags, req.x_max)))
+    for start, flags in prime_windows(req.x_max):
+        primes = np.concatenate((carried, _window_primes(start, flags, req.x_max)))
         gaps = np.diff(primes)
         widest = int(gaps.max(initial=0))
         if widest >= len(smooth_gap):
@@ -329,8 +322,10 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     with an odd h has every n + h prime only at n <= 2, and its census adds
     the two classes. n = 1 and 2 are checked directly. Each class that can
     reach the count asked for is one pass of the kernel over
-    prime_windows(x - 1 + w, w), where w = 2 * max(shifts) is at most the
-    diameter plus one: nothing it holds grows with x."""
+    prime_windows(x - 1 + 2r, r), whose windows are keyed by flag index as
+    the kernel reads them and reach r = max(shifts) flags ahead, at most
+    (diameter + 1) / 2: nothing it holds grows with x. The ends and the
+    witnesses turn flag indices into integers by // 2 and 2j + 1."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     H = req.tuple.canonical()
@@ -347,14 +342,13 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     for offset, shifts in classes:
         if len(shifts) < need:
             continue  # no n of this class has that many n + h prime
-        w = 2 * shifts[-1]
-        windows = ((flag_index(lo), flags) for lo, flags in prime_windows(req.x_max - 1 + w, w))
-        ends = [flag_index(c - offset) for c in req.checkpoints]
+        windows = prime_windows(req.x_max - 1 + 2 * shifts[-1], shifts[-1])
+        ends = [(c - offset) // 2 for c in req.checkpoints]
         full, enough, found = _translate_counts(windows, shifts, ends, m, MAX_WITNESSES - len(hits))
         at_least = [a + b for a, b in zip(at_least, enough)]
         if len(shifts) == k:  # the odd n of an all-even tuple
             counts = [a + b for a, b in zip(counts, full)]
-            hits += map(flag_integer, found)
+            hits += [2 * j + 1 for j in found]
     records = []
     for c, count, enough in zip(req.checkpoints, counts, at_least):
         ratio_pred = integral_pred = ratio = None
@@ -382,12 +376,12 @@ def _pair_witnesses(table: np.ndarray, even: np.ndarray, twos: np.ndarray):
     for s in twos, then the odd q = p - s for the even gaps s."""
     out = []
     k = 0  # the pairs (2, 2 + s) for s in twos[:k] are out
-    for p in map(flag_integer, itertools.compress(itertools.count(), table)):
+    for p in itertools.compress(itertools.count(1, 2), table):  # 2i + 1 for flag i
         if k < len(twos) and twos[k] + 2 == p:
             out.append((2, p))
             k += 1
         qs = p - even[: np.searchsorted(even, p - 3, side="right")][::-1]  # ascending q >= 3
-        out += [(q, p) for q in qs[table[flag_index(qs)]].tolist()]
+        out += [(q, p) for q in qs[table[qs // 2]].tolist()]
         if len(out) >= MAX_WITNESSES:
             return tuple(out[:MAX_WITNESSES])
     return tuple(out)

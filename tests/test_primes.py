@@ -1,6 +1,6 @@
 import pytest
 
-from smoothgap._sieve import flag_index, prime_flags, prime_windows, window_primes
+from smoothgap._sieve import _window_primes, prime_flags, prime_windows
 from smoothgap.errors import CapacityError
 from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
@@ -33,9 +33,9 @@ def test_sieve_negative_limit():
 def test_prime_flags_counts():
     flags = prime_flags(10**7)
     # the prime 2 is never a flag
-    pi = [1 + int(flags[: flag_index(10**k + 1)].sum()) for k in range(1, 8)]
+    pi = [1 + int(flags[: (10**k + 1) // 2].sum()) for k in range(1, 8)]
     assert pi == [4, 25, 168, 1229, 9592, 78498, 664579]
-    assert int(flags[flag_index(10**6) : flag_index(2 * 10**6)].sum()) == 70435
+    assert int(flags[10**6 // 2 : 2 * 10**6 // 2].sum()) == 70435
 
 
 def test_prime_flags_matches_simple_sieve():
@@ -50,27 +50,29 @@ def test_prime_flags_guards(monkeypatch):
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
     with pytest.raises(CapacityError):
         prime_flags(2001)  # 1001 odd integers
-    assert len(window_primes(0, prime_flags(2000), 2000)) == 303
+    assert len(_window_primes(0, prime_flags(2000), 2000)) == 303
 
 
 @pytest.mark.parametrize(
     "limit", [0, 1, 2, 3, 36, 37, 38, 73, 74, 75, 147, 148, 149, 1000, 1010]
 )
-@pytest.mark.parametrize("overlap", [0, 1, 2, 36, 37, 50, 74, 75, 76])
-def test_prime_windows_match_simple_sieve(monkeypatch, limit, overlap):
+@pytest.mark.parametrize("reach", [0, 1, 2, 18, 36, 37, 38, 50, 74, 75, 76])
+def test_prime_windows_match_simple_sieve(monkeypatch, limit, reach):
     # windows of 37 flags, 74 integers: 0, 1 and 2 in the first, a limit
-    # off the window grid, and overlaps past a window, which widen the step
+    # off the window grid, and reaches past a window, which widen the step
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     sieve = simple_sieve(limit)
-    step = 2 * max(37, (overlap + 1) // 2)
-    got = [(lo, window.tolist()) for lo, window in prime_windows(limit, overlap)]
-    assert [lo for lo, _ in got] == list(range(0, limit + 1 - overlap, step))
-    for lo, window in got:
-        # the odd integers in [lo, lo + step + overlap], up to limit
-        top = min(lo + step + overlap, limit)
-        assert window == [bool(sieve[n]) for n in range(lo + 1, top + 1, 2)]
-    if not overlap:
-        primes = [p for lo, w in prime_windows(limit) for p in window_primes(lo, w, limit).tolist()]
+    step = max(37, reach)
+    got = [(start, window.tolist()) for start, window in prime_windows(limit, reach)]
+    assert [start for start, _ in got] == [
+        start for start in range(0, limit + 1, step) if 2 * start <= limit - 2 * reach
+    ]
+    for start, window in got:
+        # flag i stands for 2 * (start + i) + 1, for i below step + reach, up to limit
+        odd = range(2 * start + 1, min(2 * (start + step + reach), limit + 1), 2)
+        assert window == [bool(sieve[n]) for n in odd]
+    if not reach:
+        primes = [p for start, w in prime_windows(limit) for p in _window_primes(start, w, limit).tolist()]
         assert primes == trial_primes(limit)
 
 
@@ -79,15 +81,32 @@ def test_prime_windows_check_limit_at_the_call(monkeypatch):
         prime_windows(-1)
     with pytest.raises(CapacityError):
         prime_windows(10**12 + 1)
-    # the full table is held to the budget, and windows only when an
-    # overlap wider than WINDOW makes them as wide as the input asks
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
-    assert sum(len(window_primes(lo, w, 10**5)) for lo, w in prime_windows(10**5)) == 9592
-    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    prime_windows(10**5, 74)
-    prime_windows(1500, 1001)  # 750 bytes: the limit caps the window
+    # a translate scan to x = 10^12 sieves 2 * reach integers past x - 1:
+    # the guard holds where its windows start
+    prime_windows(10**12 + 2, 1)
     with pytest.raises(CapacityError):
-        prime_windows(10**5, 1001)  # (1002 + 1001 + 1) / 2 bytes
+        prime_windows(10**12 + 3, 1)
+    # the full table is held to the budget, and windows only when a reach
+    # wider than WINDOW makes them as wide as the input asks
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
+    assert sum(len(_window_primes(start, w, 10**5)) for start, w in prime_windows(10**5)) == 9592
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    prime_windows(10**5, 37)
+    prime_windows(1500, 500)  # 750 bytes: the limit caps the window
+    with pytest.raises(CapacityError):
+        prime_windows(10**5, 501)  # 501 + 501 flags
+
+
+def test_base_prime_table_is_held_to_the_budget(monkeypatch):
+    # the base primes up to sqrt(x) come from prime_flags: at x = 10^7 a
+    # table to 3162 of 1581 bytes, checked when the list is first built
+    x = 10**7
+    _primes_upto.cache_clear()
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
+    with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
+        prime_windows(x)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1581")
+    assert sum(len(_window_primes(start, w, x)) for start, w in prime_windows(x)) == 664579
 
 
 @pytest.mark.slow

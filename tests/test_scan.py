@@ -11,7 +11,7 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import WINDOW, flag_index, prime_flags, prime_windows
+from smoothgap._sieve import WINDOW, prime_flags, prime_windows
 from smoothgap.primes import _primes_upto
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
@@ -438,8 +438,7 @@ def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
     for m in (None, 1, max(1, len(H) - 1), len(H)):
         for first in (0, 3, MAX_WITNESSES):
             expected = brute_translates(H, ends, m, first)
-            windows = ((flag_index(lo), w) for lo, w in prime_windows(limit, 2 * r))
-            assert _translate_counts(windows, H, ends, m, first) == expected
+            assert _translate_counts(prime_windows(limit, r), H, ends, m, first) == expected
             views = ((a, table[a : a + 37 + r]) for a in range(0, len(table) - r, 37))
             assert _translate_counts(views, H, ends, m, first) == expected
 
