@@ -314,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # CPython's default 4,300-digit cap on int <-> str conversion is below
+        # the primorial steps the paper constructs
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
+from ._sieve import _primes_upto
+from .primes import is_prime, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
 
 

@@ -104,6 +104,19 @@ def test_verify_obstruction(capsys):
     assert payload["results"][0]["obstruction"] == 3
 
 
+def test_verify_integers_past_the_str_digit_cap(capsys):
+    if hasattr(sys, "set_int_max_str_digits"):  # restore the cap any earlier run() lifted
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    big = "2" + "0" * 4999  # even, 5,000 digits: past CPython's default cap of 4,300
+    code, out, _ = invoke(capsys, "verify", f"0,{big}", "--admissible")
+    assert code == EXIT_OK
+    assert out == (
+        '{"results": [{"admissible": true, "obstruction": null, "tuple": [0, '
+        + big
+        + ']}], "schema": "smoothgap/1"}\n'
+    )
+
+
 def test_verify_smooth_ok(capsys):
     code, out, _ = invoke(capsys, "verify", "0,30,60,90,120", "--diff-smooth", "5")
     assert code == EXIT_OK

@@ -1,8 +1,8 @@
 import pytest
 
-from smoothgap._sieve import _window_primes, prime_flags, prime_windows
+from smoothgap._sieve import _primes_upto, _window_primes, prime_flags, prime_windows
 from smoothgap.errors import CapacityError
-from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
+from smoothgap.primes import is_prime, largest_prime_leq, primorial
 
 from tests.oracles import simple_sieve, trial_is_prime, trial_primes
 

@@ -11,12 +11,12 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import WINDOW, prime_flags, prime_windows
-from smoothgap.primes import _primes_upto
+from smoothgap._sieve import WINDOW, _primes_upto, prime_flags, prime_windows
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
     MAX_WITNESSES,
     ScanRequest,
+    _fft_is_cheaper,
     _fft_pair_counts,
     _gap_values,
     _per_gap_pair_counts,
@@ -110,6 +110,13 @@ def test_pairs_match_oracle(y, gap_one):
     assert report.records[0].count == brute_pair_count(2000, y, gap_one)
     # more than MAX_WITNESSES pairs: the witnesses stop at the cap
     assert report.witnesses == tuple(brute_pairs(2000, y, gap_one)[:MAX_WITNESSES])
+
+
+def test_fft_cliff_is_2_to_the_26_under_the_default_budget(monkeypatch):
+    monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
+    gaps = np.arange(2, 20000, 2)
+    assert _fft_is_cheaper(2**26, gaps, (2**26,))
+    assert not _fft_is_cheaper(2**26 + 1, gaps, (2**26 + 1,))
 
 
 def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
