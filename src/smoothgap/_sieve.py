@@ -1,4 +1,6 @@
-"""The package's one sieve, and the allocation budget that bounds its tables.
+"""The numpy sieve of the scans and the singular series: full tables and
+windows of prime flags. The short prime lists of the rest of the package
+come from primes._primes_upto, which imports no numpy.
 
 Every table and window of prime flags holds the odd integers only, keyed by
 flag index: flag i of a window starting at index start stands for
@@ -8,35 +10,18 @@ start 0. The prime 2 is never a flag."""
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError
+from .primes import _primes_upto, mem_budget
 
 SCAN_LIMIT = 10**12  # desk-scale hard guard
 # Flags per window of the segmented sieve, and per numpy call of the
 # windowed counting kernel: small enough that a window stays in cache. A
 # window of WINDOW flags spans 2 * WINDOW integers.
 WINDOW = 1 << 19
-
-_DEFAULT_MEM_BUDGET = 4_000_000_000
-
-
-def mem_budget() -> int:
-    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET (a positive integer)."""
-    raw = os.environ.get("SMOOTHGAP_MEM_BUDGET")
-    if raw is None:
-        return _DEFAULT_MEM_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"SMOOTHGAP_MEM_BUDGET must be a positive integer of bytes, got {raw!r}")
-    return budget
 
 
 def _window_primes(start: int, flags: np.ndarray, limit: int) -> np.ndarray:
@@ -49,20 +34,12 @@ def _window_primes(start: int, flags: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate(([2], primes)) if start == 0 and limit >= 2 else primes
 
 
-@lru_cache(maxsize=256)
-def _primes_upto(limit: int) -> tuple[int, ...]:
-    """All primes up to `limit` inclusive, ascending: the one cache of prime
-    lists, for the base primes of the sieve and the small limits of
-    primorials, smoothness checks and admissibility."""
-    return tuple(_window_primes(0, prime_flags(limit), limit).tolist())
-
-
 def sieve_window(out: np.ndarray, start: int, base: tuple[int, ...]) -> np.ndarray:
     """Fill out so that out[i] is true iff 2 * (start + i) + 1 is prime, and
     return it. base holds, ascending from 2, at least every prime up to
     sqrt(2 * (start + len(out)) - 1).
 
-    The one strike loop of the package. It is public so that a traced run
+    The one strike loop of the scans. It is public so that a traced run
     (bench/trace_child.py) times each window in the sieve layer."""
     lo = 2 * start
     hi = lo + 2 * len(out)
@@ -102,8 +79,8 @@ def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]
     before anything is sieved: the windows start at or below the desk-scale
     guard. So is a reach wider than a window: it makes the windows as wide
     as the input asks, so they must fit mem_budget(). The base primes up to
-    sqrt(limit) come from prime_flags, and their table of sqrt(limit) / 2
-    bytes must fit it too."""
+    sqrt(limit) come from primes._primes_upto, and its table of
+    sqrt(limit) / 2 bytes must fit it too."""
     _check_limit(limit, reach)
     step = max(WINDOW, reach)
     end = (limit + 1) // 2  # the flags of the odd integers up to limit
@@ -133,7 +110,7 @@ def prime_flags(limit: int) -> np.ndarray:
             f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
         )
     flags = np.empty(size, dtype=bool)
-    base = _primes_upto(math.isqrt(limit)) if limit >= 4 else ()  # the recursion ends below 4
+    base = _primes_upto(math.isqrt(limit))
     for i in range(0, size, WINDOW):
         sieve_window(flags[i : i + WINDOW], i, base)
     return flags

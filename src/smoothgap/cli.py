@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 verification-negative, 2 usage/parse error,
 3 budget/capacity exhausted. Machine-readable output goes to stdout,
 diagnostics to stderr.
+
+Only scan and constants --singular-series import the numpy modules (scan,
+constants, _sieve), inside their commands: the tuple commands start
+without numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import os
 import sys
 
-from . import constants, scan, tuples
+from . import tuples
 from .errors import CapacityError, FactorBudgetError, TupleParseError
 from .primes import largest_prime_leq, primorial
 
@@ -203,15 +207,22 @@ def cmd_search(args) -> int:
 
 # --------------------------------------------------------------------- scan
 
-def _scan_request(args) -> scan.ScanRequest:
+def scan_report_json(report) -> str:
+    """A scan.ScanReport as the scan command prints it."""
+    return dump_json({"schema": SCHEMA, **_plain(report)})
+
+
+def cmd_scan(args) -> int:
+    from . import scan
+
     checkpoints = ()
     if args.checkpoints:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
     y = args.y
     if y is None and args.mode != scan.MODE_TRANSLATES:
         y = DEFAULT_SCAN_Y
-    # ScanRequest checks which of these fields the mode takes.
-    return scan.ScanRequest(
+    # ScanRequest checks the mode, and which of these fields it takes.
+    req = scan.ScanRequest(
         x_max=args.x,
         mode=args.mode,
         y=y,
@@ -220,14 +231,7 @@ def _scan_request(args) -> scan.ScanRequest:
         include_gap_one=not args.exclude_gap_one,
         min_prime_count=args.at_least,
     )
-
-
-def scan_report_json(report: scan.ScanReport) -> str:
-    return dump_json({"schema": SCHEMA, **_plain(report)})
-
-
-def cmd_scan(args) -> int:
-    report = scan.run_scan(_scan_request(args))
+    report = scan.run_scan(req)
     if args.format == "csv":
         _write_csv(_plain(report.records))
     else:
@@ -245,12 +249,14 @@ def cmd_constants(args) -> int:
     if args.singular_series is not None and args.format == "csv":
         raise ValueError("--format csv applies to --km-table only")
     if args.km_table:
-        rows = _plain(constants.km_table())
+        rows = _plain(tuples.km_table())
         if args.format == "csv":
             _write_csv(rows)
         else:
             print(dump_json({"schema": SCHEMA, "entries": rows}))
         return EXIT_OK
+    from . import constants
+
     H = load_one_tuple(args.singular_series)
     cutoff = constants.default_prime_cutoff(H) if args.cutoff is None else args.cutoff
     est = constants.singular_series(H, cutoff)
@@ -287,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("scan", help="empirical prime-gap / translate scans")
-    p.add_argument(
-        "mode", choices=[scan.MODE_PAIRS, scan.MODE_CONSECUTIVE, scan.MODE_TRANSLATES]
-    )
+    p.add_argument("mode", help="pairs, consecutive-pairs or tuple-translates")
     p.add_argument("x", type=int)
     p.add_argument(
         "--y", type=int, help=f"smoothness bound, pair modes only (default {DEFAULT_SCAN_Y})"

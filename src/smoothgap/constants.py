@@ -1,4 +1,4 @@
-"""Hardy-Littlewood singular series and the k_m / y_m table."""
+"""Hardy-Littlewood singular series and predicted counts."""
 
 from __future__ import annotations
 
@@ -10,15 +10,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._sieve import _window_primes, prime_windows
-from .primes import largest_prime_leq
 from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
 DEFAULT_PRIME_CUTOFF = 10**6
-
-# Lowest known tuple lengths guaranteeing m primes among n + H, plus the
-# conditional m = 2 entry under Elliott-Halberstam.
-_KM_UNCONDITIONAL = ((2, 50), (3, 35265), (4, 1624545), (5, 73807570), (6, 3340375663))
-_KM_CONDITIONAL = ((2, 5),)
 
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
 
@@ -30,14 +24,6 @@ class SingularSeriesEstimate:
     prime_cutoff: int
     tail_magnitude: float  # heuristic bound on |log| of the omitted tail product
     admissible: bool
-
-
-@dataclass(frozen=True)
-class KmEntry:
-    m: int
-    k_m: int
-    y_m: int
-    conditional: bool
 
 
 def default_prime_cutoff(H: IntegerTuple) -> int:
@@ -124,16 +110,3 @@ def hl_prediction(H: IntegerTuple, x: float, mode: str = "integral-form") -> flo
     if mode == "ratio-form":
         return g * x / math.log(x) ** k
     return g * log_power_integral(k, x)
-
-
-def km_table() -> list[KmEntry]:
-    """The tabulated k_m values with their derived prime bounds y_m."""
-    entries = [
-        KmEntry(m, k, largest_prime_leq(k), conditional=False)
-        for m, k in _KM_UNCONDITIONAL
-    ]
-    entries.extend(
-        KmEntry(m, k, largest_prime_leq(k), conditional=True)
-        for m, k in _KM_CONDITIONAL
-    )
-    return entries

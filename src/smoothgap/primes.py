@@ -1,11 +1,14 @@
-"""Prime generation, primality testing, primorials, largest-prime-below queries."""
+"""Prime lists, primality testing, primorials, largest-prime-below queries,
+and the allocation budget that bounds the package's tables."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
 
-from ._sieve import _primes_upto
+from .errors import CapacityError
 
 # is_prime is exact below this bound (fixed witness set); probabilistic above.
 DETERMINISTIC_LIMIT = 1 << 64
@@ -15,6 +18,45 @@ MR_ROUNDS = 40
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sufficient witness set for all n < 2^64 (miller-rabin.appspot.com).
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+_DEFAULT_MEM_BUDGET = 4_000_000_000
+
+
+def mem_budget() -> int:
+    """Allocation budget in bytes, overridable via SMOOTHGAP_MEM_BUDGET (a positive integer)."""
+    raw = os.environ.get("SMOOTHGAP_MEM_BUDGET")
+    if raw is None:
+        return _DEFAULT_MEM_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"SMOOTHGAP_MEM_BUDGET must be a positive integer of bytes, got {raw!r}")
+    return budget
+
+
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """All primes up to limit inclusive, ascending: the base primes of the
+    sieve and the small limits of primorials, smoothness checks and
+    admissibility. An odd-only bytearray sieve, flags[i] for 2i + 1, whose
+    (limit + 1) // 2 bytes must fit mem_budget()."""
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    size = (limit + 1) // 2
+    if size > mem_budget():
+        raise CapacityError(
+            f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
+        )
+    flags = bytearray(b"\x01") * size
+    flags[:1] = b"\x00"  # 1
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            first = p * p // 2
+            flags[first::p] = bytes(len(range(first, size, p)))
+    odd = itertools.compress(itertools.count(1, 2), flags)
+    return (2, *odd) if limit >= 2 else ()
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _sieve
-from ._sieve import SCAN_LIMIT, _window_primes, mem_budget, prime_flags, prime_windows
+from ._sieve import SCAN_LIMIT, _window_primes, prime_flags, prime_windows
 from .constants import hl_prediction
 from .errors import CapacityError
-from .primes import is_prime
+from .primes import is_prime, mem_budget
 from .smoothness import smooth_numbers_up_to
 from .tuples import IntegerTuple
 
@@ -82,7 +82,10 @@ class ScanRequest:
                     f"pair modes only, not {self.mode!r}"
                 )
         else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(
+                f"unknown mode {self.mode!r}; expected {MODE_PAIRS!r}, "
+                f"{MODE_CONSECUTIVE!r} or {MODE_TRANSLATES!r}"
+            )
         cps = self.checkpoints or (self.x_max,)
         if min(cps) < 1:
             raise ValueError(f"checkpoints must be positive: {cps}")

@@ -9,9 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._sieve import _primes_upto, mem_budget
 from .errors import CapacityError, FactorBudgetError
-from .primes import DETERMINISTIC_LIMIT, is_prime
+from .primes import DETERMINISTIC_LIMIT, _primes_upto, is_prime, mem_budget
 
 DEFAULT_TRIAL_LIMIT = 1_000_000
 # Peak bytes per element of smooth_numbers_up_to's result: a 32-byte int

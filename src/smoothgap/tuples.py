@@ -1,14 +1,18 @@
 """Tuple algebra: admissibility, diameter, difference-smoothness, the
-primorial-progression construction, the pigeonhole witness, and
-minimal-diameter searches."""
+primorial-progression construction, the pigeonhole witness,
+minimal-diameter searches, and the k_m / y_m table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._sieve import _primes_upto
-from .primes import is_prime, largest_prime_leq, primorial
+from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
+
+# Lowest known tuple lengths guaranteeing m primes among n + H, plus the
+# conditional m = 2 entry under Elliott-Halberstam.
+_KM_UNCONDITIONAL = ((2, 50), (3, 35265), (4, 1624545), (5, 73807570), (6, 3340375663))
+_KM_CONDITIONAL = ((2, 5),)
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,14 @@ class DifferenceSmoothness:
 
     def __bool__(self) -> bool:
         return self.smooth
+
+
+@dataclass(frozen=True)
+class KmEntry:
+    m: int
+    k_m: int
+    y_m: int
+    conditional: bool
 
 
 @dataclass(frozen=True)
@@ -343,3 +355,16 @@ def search_min_diameter_difference_smooth(
     if y < largest_prime_leq(k):
         return SearchResult(None, None, 0, proven_minimal=True, budget_exhausted=False)
     return _deepen(k, y, construct_primorial_tuple(k), budget)
+
+
+def km_table() -> list[KmEntry]:
+    """The tabulated k_m values with their derived prime bounds y_m."""
+    entries = [
+        KmEntry(m, k, largest_prime_leq(k), conditional=False)
+        for m, k in _KM_UNCONDITIONAL
+    ]
+    entries.extend(
+        KmEntry(m, k, largest_prime_leq(k), conditional=True)
+        for m, k in _KM_CONDITIONAL
+    )
+    return entries

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from smoothgap.cli import scan_report_json
-from smoothgap.constants import km_table, singular_series
+from smoothgap.constants import singular_series
 from smoothgap.primes import is_prime, largest_prime_leq
 from smoothgap.scan import ScanRequest, count_tuple_translates, run_scan
 from smoothgap.tuples import (
@@ -21,6 +21,7 @@ from smoothgap.tuples import (
     find_smoothness_witness,
     is_admissible,
     is_difference_smooth,
+    km_table,
     search_min_diameter_admissible,
     search_min_diameter_difference_smooth,
 )

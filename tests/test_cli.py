@@ -302,6 +302,14 @@ def test_scan_threads_flag_removed(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_scan_unknown_mode_names_the_modes(capsys):
+    code, out, err = invoke(capsys, "scan", "foo", "100")
+    assert (code, out) == (EXIT_USAGE, "")
+    [line] = err.splitlines()
+    assert line.startswith("error:")
+    assert all(f"'{mode}'" in line for mode in ("pairs", "consecutive-pairs", "tuple-translates"))
+
+
 def test_scan_missing_tuple_flag(capsys):
     code, _, err = invoke(capsys, "scan", "tuple-translates", "100")
     assert code == EXIT_USAGE
@@ -602,6 +610,40 @@ def test_malformed_mem_budget_is_a_usage_error(capsys, monkeypatch, budget):
     assert code == EXIT_USAGE
     assert out == ""
     assert "SMOOTHGAP_MEM_BUDGET" in err
+
+
+# Runs the CLI with numpy blocked, so that any import of it raises, and
+# checks that no numpy module of the package was loaded.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from smoothgap.cli import build_parser, run
+build_parser()
+code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0
+assert not {"smoothgap._sieve", "smoothgap.scan", "smoothgap.constants"} & sys.modules.keys()
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "construct primorial 5",
+        "verify 0,2,6 --admissible --witness --diff-smooth 7",
+        "search 10",
+        "search 8 --smooth 7",
+        "constants --km-table",
+    ],
+)
+def test_tuple_commands_run_without_numpy(capsys, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv.split()],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    code, out, _ = invoke(capsys, *argv.split()) if argv else (EXIT_OK, "", "")
+    assert (done.returncode, done.stdout) == (code, out.encode()), done.stderr
 
 
 def test_module_entry_point():

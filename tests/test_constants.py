@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from smoothgap.constants import (
-    hl_prediction,
-    km_table,
-    log_power_integral,
-    singular_series,
-)
-from smoothgap.tuples import IntegerTuple
+from smoothgap.constants import hl_prediction, log_power_integral, singular_series
+from smoothgap.tuples import IntegerTuple, km_table
 
 from tests.oracles import direct_singular_series, simple_sieve, trial_is_prime
 

@@ -1,8 +1,8 @@
 import pytest
 
-from smoothgap._sieve import _primes_upto, _window_primes, prime_flags, prime_windows
+from smoothgap._sieve import _window_primes, prime_flags, prime_windows
 from smoothgap.errors import CapacityError
-from smoothgap.primes import is_prime, largest_prime_leq, primorial
+from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
 from tests.oracles import simple_sieve, trial_is_prime, trial_primes
 
@@ -98,15 +98,18 @@ def test_prime_windows_check_limit_at_the_call(monkeypatch):
 
 
 def test_base_prime_table_is_held_to_the_budget(monkeypatch):
-    # the base primes up to sqrt(x) come from prime_flags: at x = 10^7 a
-    # table to 3162 of 1581 bytes, checked when the list is first built
+    # the base primes up to sqrt(x) come from _primes_upto: at x = 10^7 a
+    # table to 3162 of 1581 bytes, checked on every call
     x = 10**7
-    _primes_upto.cache_clear()
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
     with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
         prime_windows(x)
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1581")
     assert sum(len(_window_primes(start, w, x)) for start, w in prime_windows(x)) == 664579
+    # a list already built once is no exemption
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
+    with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
+        prime_windows(x)
 
 
 @pytest.mark.slow

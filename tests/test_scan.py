@@ -11,7 +11,7 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import WINDOW, _primes_upto, prime_flags, prime_windows
+from smoothgap._sieve import WINDOW, prime_flags, prime_windows
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
     MAX_WITNESSES,
@@ -185,7 +185,6 @@ def test_odd_gaps_reach_neither_kernel(fft, monkeypatch):
 def test_pairs_peak_allocation_per_integer():
     # the gaps are held once, as int64, while a kernel runs
     x = 10**6
-    _primes_upto(x)  # the cached prime list, outside the measurement
     tracemalloc.start()
     try:
         count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x))
