@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import tuples
-from .errors import CapacityError, FactorBudgetError, TupleParseError
+from .errors import CapacityError, TupleParseError
 from .primes import largest_prime_leq, primorial
 
 SCHEMA = "smoothgap/1"
@@ -328,7 +328,7 @@ def run(argv=None) -> int:
     except TupleParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, FactorBudgetError) as e:
+    except CapacityError as e:
         print(f"capacity: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as e:  # OSError: a path that cannot be read or written

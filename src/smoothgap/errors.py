@@ -5,18 +5,6 @@ class CapacityError(Exception):
     """An allocation or scan bound exceeds the configured budget."""
 
 
-class FactorBudgetError(Exception):
-    """Trial division exhausted its budget with a composite residual left over."""
-
-    def __init__(self, n: int, residual: int, limit: int):
-        self.n = n
-        self.residual = residual
-        self.limit = limit
-        super().__init__(
-            f"cannot factor {n}: residual {residual} has no prime factor <= {limit}"
-        )
-
-
 class TupleParseError(Exception):
     """A tuple text file failed to parse."""
 

@@ -45,7 +45,6 @@ class IntegerTuple:
 class AdmissibilityReport:
     admissible: bool
     obstruction: int | None  # smallest prime covering all residue classes
-    coverage: dict[int, int]  # prime -> number of residue classes covered
 
     def __bool__(self) -> bool:
         return self.admissible
@@ -89,15 +88,10 @@ def is_admissible(H: IntegerTuple) -> AdmissibilityReport:
     A prime p > k can never be an obstruction: the k elements cover at
     most k < p residue classes, so at least one class is always free.
     """
-    k = len(H)
-    coverage: dict[int, int] = {}
-    obstruction = None
-    for p in _primes_upto(k):
-        v = residue_coverage(H, p)
-        coverage[p] = v
-        if v == p and obstruction is None:
-            obstruction = p
-    return AdmissibilityReport(obstruction is None, obstruction, coverage)
+    for p in _primes_upto(len(H)):  # ascending: the first is the smallest
+        if residue_coverage(H, p) == p:
+            return AdmissibilityReport(False, p)
+    return AdmissibilityReport(True, None)
 
 
 def diameter(H: IntegerTuple) -> int:

@@ -54,12 +54,28 @@ def brute_is_smooth(n: int, y: int) -> bool:
     return lpf is None or lpf <= y
 
 
-def brute_admissible(elements, prime_bound: int) -> bool:
-    """Check every prime up to prime_bound, not just p <= k."""
+def brute_rough_part(n: int, y: int) -> int:
+    """n with every prime factor <= y divided out."""
+    rough = 1
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            if d > y:
+                rough *= d
+            n //= d
+        d += 1
+    if n > y:  # n is now 1 or prime
+        rough *= n
+    return rough
+
+
+def brute_obstruction(elements, prime_bound: int) -> int | None:
+    """The smallest prime up to prime_bound whose residue classes the
+    elements all cover, or None. Checks every prime, not just p <= k."""
     for p in trial_primes(prime_bound):
         if len({h % p for h in elements}) == p:
-            return False
-    return True
+            return p
+    return None
 
 
 def brute_difference_smooth(elements, y: int) -> bool:
@@ -80,7 +96,7 @@ def brute_min_diameter(k: int, max_d: int, smooth_y: int | None = None):
             elements = (0,) + middle + (d,)
             if smooth_y is not None and not brute_difference_smooth(elements, smooth_y):
                 continue
-            if brute_admissible(elements, d + k):
+            if brute_obstruction(elements, d + k) is None:
                 return d, elements
     return None
 

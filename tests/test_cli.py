@@ -177,9 +177,11 @@ def test_verify_no_predicate(capsys):
 
 
 def test_verify_diff_smooth_large_y(capsys):
-    code, out, _ = invoke(capsys, "verify", "0,2", "--diff-smooth", "10000000000")
-    assert code == EXIT_OK
-    assert json.loads(out)["results"][0]["difference_smooth"] is True
+    p = 10**29 + 319  # a prime: trial division to its square root would not finish
+    for H, y in (("0,2", "10000000000"), (f"0,{p}", str(p))):
+        code, out, _ = invoke(capsys, "verify", H, "--diff-smooth", y)
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["difference_smooth"] is True
 
 
 def test_search_smooth(capsys):

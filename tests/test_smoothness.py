@@ -2,59 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgap.errors import CapacityError, FactorBudgetError
-from smoothgap.smoothness import factorize, is_smooth, smooth_numbers_up_to
+from smoothgap.errors import CapacityError
+from smoothgap.smoothness import is_smooth, smooth_numbers_up_to
 
-from tests.oracles import brute_is_smooth
-
-PRIMORIAL_47 = 614889782588491410
-
-
-def test_factorize_unit():
-    cert = factorize(1)
-    assert cert.factors == ()
-    assert cert.largest_prime_factor is None
-
-
-def test_factorize_246():
-    cert = factorize(246)
-    assert cert.factors == ((2, 1), (3, 1), (41, 1))
-    assert cert.largest_prime_factor == 41
-
-
-def test_factorize_primorial():
-    cert = factorize(PRIMORIAL_47)
-    assert len(cert.factors) == 15
-    assert all(e == 1 for _, e in cert.factors)
-    assert cert.factors[0] == (2, 1)
-    assert cert.largest_prime_factor == 47
-    assert not cert.probabilistic
-    assert factorize(PRIMORIAL_47, trial_limit=10**12) == cert
-
-
-def test_factorize_product_invariant():
-    for n in [2, 360, 1024, 9699690, 2**10 * 3**5 * 97]:
-        cert = factorize(n)
-        prod = 1
-        for p, e in cert.factors:
-            prod *= p**e
-        assert prod == n
-        assert cert.factors == tuple(sorted(cert.factors))
-
-
-def test_factorize_budget_error():
-    # product of two primes beyond the trial budget
-    n = 1000003 * 1000033
-    with pytest.raises(FactorBudgetError) as exc:
-        factorize(n, trial_limit=1000)
-    assert exc.value.residual == n
-    # a residual with no factor <= trial_limit that passes Miller-Rabin is prime
-    assert factorize(12 * 1000003, trial_limit=1000).factors == ((2, 2), (3, 1), (1000003, 1))
-
-
-def test_factorize_domain():
-    with pytest.raises(ValueError):
-        factorize(0)
+from tests.oracles import brute_is_smooth, brute_rough_part
 
 
 def test_is_smooth_examples():
@@ -63,22 +14,35 @@ def test_is_smooth_examples():
     check = is_smooth(106, 47)
     assert not check
     assert check.cofactor == 53
-    assert check.certificate is None
+
+
+def test_is_smooth_domain():
+    with pytest.raises(ValueError):
+        is_smooth(0, 2)
+    with pytest.raises(ValueError):
+        is_smooth(1, 1)
 
 
 def test_is_smooth_unit():
     for y in (2, 3, 47):
         assert is_smooth(1, y)
-        assert is_smooth(1, y).certificate.factors == ()
 
 
 def test_is_smooth_large_y():
     # y far above any prime table the package could hold
-    assert is_smooth(2, 10**10).certificate.factors == ((2, 1),)
+    assert is_smooth(2, 10**10)
     assert is_smooth(2 * 9999999967, 10**10)
     check = is_smooth(3 * 10000000019, 10**10)
     assert not check
     assert check.cofactor == 10000000019
+    # the loop stops once the cofactor is <= y, not at the square root of
+    # this 30-digit prime
+    p = 10**29 + 319
+    assert is_smooth(p, p)
+    assert is_smooth(6 * p, p)
+    check = is_smooth(6 * p, 5)
+    assert not check
+    assert check.cofactor == p
 
 
 @given(
@@ -92,15 +56,9 @@ def test_is_smooth_matches_oracle_any_y(n, y):
     check = is_smooth(n, y)
     assert bool(check) == brute_is_smooth(n, y)
     if check:
-        assert check.certificate.factors == factorize(n).factors
+        assert check.cofactor is None
     else:
-        assert n % check.cofactor == 0 and check.cofactor > y
-
-
-def test_is_smooth_certificate_attached():
-    cert = is_smooth(246, 47).certificate
-    assert cert.n == 246
-    assert cert.largest_prime_factor == 41
+        assert check.cofactor == brute_rough_part(n, y)
 
 
 @pytest.mark.parametrize("y", [2, 3, 5, 7, 47])

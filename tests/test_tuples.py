@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothgap.primes import largest_prime_leq, primorial
@@ -17,7 +17,7 @@ from smoothgap.tuples import (
 )
 
 from tests.generators import random_admissible_elements
-from tests.oracles import brute_admissible, brute_difference_smooth
+from tests.oracles import brute_difference_smooth, brute_obstruction
 
 
 def test_tuple_validation():
@@ -44,7 +44,6 @@ def test_is_admissible_examples():
     report = is_admissible(IntegerTuple((0, 2, 4)))
     assert not report
     assert report.obstruction == 3
-    assert report.coverage[3] == 3
 
 
 def test_is_admissible_k1():
@@ -54,9 +53,11 @@ def test_is_admissible_k1():
 def test_admissibility_report_coverage_bounds():
     H = IntegerTuple((0, 4, 6, 10, 12, 16))
     report = is_admissible(H)
-    for p, v in report.coverage.items():
+    assert report and report.obstruction is None
+    for p in (2, 3, 5):  # the primes up to k = 6
+        v = residue_coverage(H, p)
         assert 1 <= v <= min(len(H), p)
-        assert v == residue_coverage(H, p)
+        assert v < p
 
 
 def test_diameter():
@@ -159,14 +160,16 @@ def test_translation_invariance(elements, t):
         st.integers(min_value=0, max_value=100), min_size=1, max_size=6, unique=True
     )
 )
+@example(elements=[0, 6, 12, 18, 24])  # one class mod 2 and mod 3, every class mod 5
 @settings(max_examples=300, deadline=None)
 def test_is_admissible_matches_larger_brute_check(elements):
     H = IntegerTuple(tuple(sorted(elements)))
     # the oracle checks all primes up to diameter + k; the shortcut to
-    # primes <= k must never disagree
-    assert is_admissible(H).admissible == brute_admissible(
-        H.elements, diameter(H) + len(H)
-    )
+    # primes <= k must never disagree, and must report the smallest
+    # obstruction
+    report = is_admissible(H)
+    assert report.obstruction == brute_obstruction(H.elements, diameter(H) + len(H))
+    assert report.admissible == (report.obstruction is None)
 
 
 @given(
