@@ -258,8 +258,7 @@ def cmd_constants(args) -> int:
     from . import constants
 
     H = load_one_tuple(args.singular_series)
-    cutoff = constants.default_prime_cutoff(H) if args.cutoff is None else args.cutoff
-    est = constants.singular_series(H, cutoff)
+    est = constants.singular_series(H, args.cutoff)
     print(dump_json({"schema": SCHEMA, "tuple": _plain(H), **_plain(est)}))
     return EXIT_OK
 

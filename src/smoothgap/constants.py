@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,11 +25,6 @@ class SingularSeriesEstimate:
     admissible: bool
 
 
-def default_prime_cutoff(H: IntegerTuple) -> int:
-    """DEFAULT_PRIME_CUTOFF, or k or diameter + 1 where either is larger."""
-    return max(DEFAULT_PRIME_CUTOFF, len(H), diameter(H) + 1)
-
-
 def _tail_magnitude(k: int, cutoff: int) -> float:
     # For p > cutoff each log-factor is ~ -(k^2 - k)/(2 p^2); summing over
     # primes via the density 1/log t gives the integral estimate below.
@@ -38,16 +32,19 @@ def _tail_magnitude(k: int, cutoff: int) -> float:
     return (k * k - k) / (2.0 * cutoff * math.log(cutoff))
 
 
-def singular_series(H: IntegerTuple, prime_cutoff: int) -> SingularSeriesEstimate:
+def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> SingularSeriesEstimate:
     """Partial Hardy-Littlewood product prod (1 - v_p/p) / (1 - 1/p)^k
     over primes p <= prime_cutoff, accumulated in log space: one pass over
     prime_windows(prime_cutoff) that adds up each window's log terms, so
-    it holds no table of the primes up to the cutoff.
+    it holds no table of the primes up to the cutoff. The cutoff defaults to
+    DEFAULT_PRIME_CUTOFF, or k or diameter + 1 where either is larger.
 
     Exactly 0 (and admissible = False) when some v_p = p.
     """
     k = len(H)
     d = diameter(H)
+    if prime_cutoff is None:
+        prime_cutoff = max(DEFAULT_PRIME_CUTOFF, k, d + 1)
     if prime_cutoff < 2 or prime_cutoff < k or prime_cutoff < d + 1:
         raise ValueError(
             f"prime_cutoff {prime_cutoff} must be >= 2, >= k = {k} "
@@ -87,26 +84,20 @@ def log_power_integral(k: int, x: float) -> float:
     return float(np.sum(half * _GL_WEIGHTS * np.exp(u) * u ** -k))
 
 
-@lru_cache(maxsize=128)
-def _cached_series_value(elements: tuple[int, ...], prime_cutoff: int) -> float:
-    return singular_series(IntegerTuple(elements), prime_cutoff).value
+def hl_predictions(H: IntegerTuple, xs) -> list[tuple[float, float]]:
+    """Predicted counts of n < x with n + H entirely prime, as (ratio form,
+    integral form) for each x in xs.
 
-
-def hl_prediction(H: IntegerTuple, x: float, mode: str = "integral-form") -> float:
-    """Predicted count of n < x with n + H entirely prime.
-
-    ratio-form is G * x / (log x)^k; integral-form is G * int_2^x dt/(log t)^k,
-    asymptotically equivalent but far closer at desk scale. G is the singular
-    series over the primes up to default_prime_cutoff(H).
+    The ratio form is G * x / (log x)^k; the integral form is
+    G * int_2^x dt/(log t)^k, asymptotically equivalent but far closer at
+    desk scale. G is singular_series(H) at its default cutoff, computed
+    once for all of xs.
     """
-    if x <= 2:
-        raise ValueError(f"x must exceed 2, got {x}")
-    if mode not in ("ratio-form", "integral-form"):
-        raise ValueError(f"unknown mode {mode!r}")
+    xs = [float(c) for c in xs]
+    if any(x <= 2 for x in xs):
+        raise ValueError(f"x must exceed 2, got {min(xs)}")
+    if not xs:
+        return []
     k = len(H)
-    g = _cached_series_value(H.canonical().elements, default_prime_cutoff(H))
-    if g == 0.0:
-        return 0.0
-    if mode == "ratio-form":
-        return g * x / math.log(x) ** k
-    return g * log_power_integral(k, x)
+    g = singular_series(H).value  # 0.0 for a non-admissible H
+    return [(g * x / math.log(x) ** k, g * log_power_integral(k, x)) for x in xs]

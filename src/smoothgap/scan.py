@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _sieve
 from ._sieve import SCAN_LIMIT, _window_primes, prime_flags, prime_windows
-from .constants import hl_prediction
+from .constants import hl_predictions
 from .errors import CapacityError
 from .primes import is_prime, mem_budget
 from .smoothness import smooth_numbers_up_to
@@ -352,14 +352,12 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
         if len(shifts) == k:  # the odd n of an all-even tuple
             counts = [a + b for a, b in zip(counts, full)]
             hits += [2 * j + 1 for j in found]
+    small = sum(c <= 2 for c in req.checkpoints)  # no prediction below x = 3
+    predictions = [(None, None)] * small + hl_predictions(H, req.checkpoints[small:])
     records = []
-    for c, count, enough in zip(req.checkpoints, counts, at_least):
-        ratio_pred = integral_pred = ratio = None
-        if c > 2:
-            ratio_pred = hl_prediction(H, float(c), "ratio-form")
-            integral_pred = hl_prediction(H, float(c), "integral-form")
-            if integral_pred > 0:
-                ratio = count / integral_pred
+    rows = zip(req.checkpoints, counts, at_least, predictions)
+    for c, count, enough, (ratio_pred, integral_pred) in rows:
+        ratio = count / integral_pred if integral_pred else None
         at_least_m = None if m is None else enough
         records.append(CheckpointRecord(c, count, ratio_pred, integral_pred, ratio, at_least_m))
     return ScanReport(req, tuple(records), tuple((n,) for n in hits))

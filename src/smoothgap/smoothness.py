@@ -10,12 +10,16 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .primes import _primes_upto, mem_budget
+from .primes import _primes_upto, is_prime, mem_budget
 
 # Peak bytes per element of smooth_numbers_up_to's result: a 32-byte int
 # above 2^30, its list slot with over-allocation, and the sort's scratch.
 # tracemalloc reads 44-45 at bounds 10^6 to 10^10 (CPython 3.11, x86-64).
 SMOOTH_BYTES_PER_ELEMENT = 48
+# Trial divisor past which is_smooth tests its cofactor for primality: by
+# then the loop has run some 22,000 steps, which a Miller-Rabin test does
+# not outweigh.
+PRIME_TEST_FROM = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,9 +33,13 @@ class SmoothnessCheck:
 
 def is_smooth(n: int, y: int) -> SmoothnessCheck:
     """Membership test for the y-smooth integers, by trial division up to
-    min(y, sqrt(n)), stopping once the cofactor is <= y.
+    min(y, sqrt(n)), stopping once the cofactor is <= y, or once it is a
+    prime above y: tested when the divisor first passes PRIME_TEST_FROM and
+    after each later division.
 
-    Never factors the rough cofactor of a failing input.
+    Never factors the rough cofactor of a failing input. Above 2^64 the
+    primality test is probabilistic (error below 4^-40), and so is a
+    verdict that stops on it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -42,11 +50,16 @@ def is_smooth(n: int, y: int) -> SmoothnessCheck:
     # composite d never divides, as its prime factors are smaller and
     # already divided out.
     wheel = itertools.accumulate(itertools.cycle((2, 4)), initial=5)
+    tested = None  # the cofactor last found composite
     for d in itertools.chain((2, 3), wheel):
         # A cofactor <= y has only prime factors <= y. Past d > y it has
         # only prime factors above y; past d * d > m it is 1 or prime.
         if m <= y or d > y or d * d > m:
             break
+        if d > PRIME_TEST_FROM and m != tested:
+            if is_prime(m):  # a prime above y: the rough cofactor
+                break
+            tested = m
         while m % d == 0:
             m //= d
     return SmoothnessCheck(False, m) if m > y else SmoothnessCheck(True, None)

@@ -182,6 +182,13 @@ def test_verify_diff_smooth_large_y(capsys):
         code, out, _ = invoke(capsys, "verify", H, "--diff-smooth", y)
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["difference_smooth"] is True
+    # a prime difference above y = y_6: trial division to y would take minutes
+    q = 10**30 + 57
+    code, out, _ = invoke(capsys, "verify", f"0,{q}", "--diff-smooth", "3340375637")
+    assert code == EXIT_NEGATIVE
+    result = json.loads(out)["results"][0]
+    assert result["difference_smooth"] is False
+    assert result["rough_cofactor"] == q
 
 
 def test_search_smooth(capsys):
@@ -407,7 +414,7 @@ def test_constants_singular_series(capsys):
 
 
 def test_constants_default_cutoff_covers_the_diameter(capsys):
-    # the default follows hl_prediction: max(10^6, k, diameter + 1)
+    # singular_series's default cutoff, as scan predictions use: max(10^6, k, diameter + 1)
     code, out, _ = invoke(capsys, "constants", "--singular-series", "0,2,1000002")
     assert code == EXIT_OK
     assert json.loads(out)["prime_cutoff"] == 1000003

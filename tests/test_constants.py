@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothgap.constants import hl_prediction, log_power_integral, singular_series
+from smoothgap.constants import hl_predictions, log_power_integral, singular_series
 from smoothgap.tuples import IntegerTuple, km_table
 
 from tests.oracles import direct_singular_series, simple_sieve, trial_is_prime
@@ -105,9 +105,8 @@ def test_tail_bounds_cutoff_doubling():
         assert abs(math.log(doubled.value) - math.log(est.value)) < est.tail_magnitude
 
 
-def test_hl_prediction_modes():
-    ratio = hl_prediction(TWIN, 1e7, "ratio-form")
-    integral = hl_prediction(TWIN, 1e7, "integral-form")
+def test_hl_predictions_forms():
+    [(ratio, integral)] = hl_predictions(TWIN, [10**7])
     g = singular_series(TWIN, 10**6).value
     assert ratio == pytest.approx(g * 1e7 / math.log(1e7) ** 2, rel=1e-12)
     assert integral == pytest.approx(58754, rel=1e-3)
@@ -154,20 +153,21 @@ def test_log_power_integral_live_mpmath():
                 assert log_power_integral(k, x) == pytest.approx(expected, rel=5e-13)
 
 
-def test_hl_prediction_integral_form_is_series_times_integral():
+def test_hl_predictions_integral_form_is_series_times_integral():
     g = singular_series(TWIN, 10**6).value
-    assert hl_prediction(TWIN, 1e12) == g * log_power_integral(2, 1e12)
+    xs = [3, 10**4, 10**12]
+    assert [i for _, i in hl_predictions(TWIN, xs)] == [g * log_power_integral(2, x) for x in xs]
 
 
-def test_hl_prediction_non_admissible_is_zero():
-    assert hl_prediction(IntegerTuple((0, 1)), 1e4) == 0.0
+def test_hl_predictions_non_admissible_is_zero():
+    assert hl_predictions(IntegerTuple((0, 1)), [10**4, 10**5]) == [(0.0, 0.0)] * 2
 
 
-def test_hl_prediction_domain():
-    with pytest.raises(ValueError):
-        hl_prediction(TWIN, 2.0)
-    with pytest.raises(ValueError):
-        hl_prediction(TWIN, 1e4, "nonsense-form")
+def test_hl_predictions_domain():
+    assert hl_predictions(TWIN, []) == []
+    for xs in ([2.0], [1e4, 2], [0]):
+        with pytest.raises(ValueError):
+            hl_predictions(TWIN, xs)
 
 
 def test_km_table_rows():

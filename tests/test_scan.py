@@ -326,6 +326,9 @@ def test_translates_match_oracle_across_windows(monkeypatch, elements):
     # next to window edges, tuples wider than a window, and tuples with odd
     # elements, which have all-prime translates only at n <= 2
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    # each scan's singular series runs in those windows too: a cutoff of
+    # 10^3, not 10^6, keeps it from dominating a test of the counts
+    monkeypatch.setattr("smoothgap.constants.DEFAULT_PRIME_CUTOFF", 1000)
     x = 37 * 81
     checkpoints = (1, 2, 3, 4, 73, 74, 75, 148, 149, 1000, 2996, x)
     flags = simple_sieve(x + max(elements))
@@ -386,8 +389,10 @@ def test_translates_at_least_m():
 
 def test_translates_tuple_wider_than_a_byte(monkeypatch):
     # 256 elements: the tallies no longer fit uint8; witnesses and
-    # checkpoints inside windows of 37 integers
+    # checkpoints inside windows of 37 integers; the singular series cut
+    # off at 10^3, as in test_translates_match_oracle_across_windows
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    monkeypatch.setattr("smoothgap.constants.DEFAULT_PRIME_CUTOFF", 1000)
     H = construct_consecutive_prime_tuple(256)
     x = 3000
     flags = simple_sieve(x + diameter(H))
@@ -584,3 +589,27 @@ def test_pair_witnesses_ordering():
     assert list(report.witnesses) == sorted(report.witnesses, key=lambda w: (w[1], w[0]))
     for q, p in report.witnesses:
         assert (p - q) & (p - q - 1) == 0  # 2-smooth gap: a power of two, or 1
+
+
+def test_translate_scan_does_not_depend_on_call_history(monkeypatch):
+    # the singular series is computed afresh by each scan, so a budget set
+    # after an earlier scan binds, as it does for the CLI (exit 3)
+    import smoothgap.constants
+
+    H = IntegerTuple((0, 2))
+    twins = ScanRequest(1000, "tuple-translates", tuple=H, checkpoints=(10, 100, 1000))
+    calls = []
+    series = smoothgap.constants.singular_series
+    monkeypatch.setattr(
+        smoothgap.constants, "singular_series", lambda *a: calls.append(a) or series(*a)
+    )
+    first = run_scan(twins)
+    assert len(calls) == 1
+    assert run_scan(twins) == first
+    assert len(calls) == 2
+    small = ScanRequest(2, "tuple-translates", tuple=H, checkpoints=(1, 2))
+    assert [r.hl_integral_prediction for r in run_scan(small).records] == [None, None]
+    assert len(calls) == 2
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "100")
+    with pytest.raises(CapacityError):
+        run_scan(twins)

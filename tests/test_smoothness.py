@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothgap.errors import CapacityError
@@ -43,6 +43,13 @@ def test_is_smooth_large_y():
     check = is_smooth(6 * p, 5)
     assert not check
     assert check.cofactor == p
+    # a 31-digit prime above y = y_6 of the k_m table: the loop stops on
+    # its primality, not after trial division to y
+    q = 10**30 + 57
+    for n in (q, 6 * q, 65537 * q, 65537**2 * 65539 * q):
+        check = is_smooth(n, 3340375637)
+        assert not check
+        assert check.cofactor == q
 
 
 @given(
@@ -51,6 +58,8 @@ def test_is_smooth_large_y():
         st.integers(min_value=2, max_value=100), st.integers(min_value=2, max_value=10**10)
     ),
 )
+@example(n=65537 * 65539, y=10**6)  # two primes past PRIME_TEST_FROM, both <= y
+@example(n=65537 * 65539, y=65537)
 @settings(max_examples=200, deadline=None)
 def test_is_smooth_matches_oracle_any_y(n, y):
     check = is_smooth(n, y)
