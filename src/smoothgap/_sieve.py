@@ -34,26 +34,32 @@ def _window_primes(start: int, flags: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate(([2], primes)) if start == 0 and limit >= 2 else primes
 
 
-def sieve_window(out: np.ndarray, start: int, base: tuple[int, ...]) -> np.ndarray:
+def sieve_window(out: np.ndarray, start: int, base: np.ndarray) -> np.ndarray:
     """Fill out so that out[i] is true iff 2 * (start + i) + 1 is prime, and
-    return it. base holds, ascending from 2, at least every prime up to
-    sqrt(2 * (start + len(out)) - 1).
+    return it. base holds, ascending as int64 from _odd_base_primes, at
+    least every odd prime up to sqrt(2 * (start + len(out)) - 1).
 
     The one strike loop of the scans. It is public so that a traced run
     (bench/trace_child.py) times each window in the sieve layer."""
-    lo = 2 * start
-    hi = lo + 2 * len(out)
+    hi = 2 * (start + len(out))
     out.fill(True)
-    for p in base[1:]:
-        if p * p >= hi:
-            break
-        # the odd multiples of p from max(p^2, the first multiple at or above lo),
-        # p flags apart
-        first = max(p * p, -(-lo // p) * p)
-        out[(first + p * (first % 2 == 0) - lo) // 2 :: p] = False
+    ps = base[: np.searchsorted(base, math.isqrt(max(hi - 1, 0)), side="right")]  # p^2 < hi
+    # The flag of the first odd multiple of each p from max(p^2, the window's
+    # first integer): the multiples (2j + 1)p sit at the flags j * p + (p - 1) / 2,
+    # so it is p^2's flag when that lies in the window, else the least flag
+    # of the window in that class mod p.
+    firsts = np.maximum((ps * ps - 1) // 2 - start, ((ps - 1) // 2 - start) % ps)
+    for p, first in zip(ps.tolist(), firsts.tolist()):
+        out[first::p] = False
     if start == 0:
         out[:1] = False  # 1
     return out
+
+
+def _odd_base_primes(limit: int) -> np.ndarray:
+    """The odd primes up to sqrt(limit), ascending as int64: the strike
+    primes of every window up to limit."""
+    return np.array(_primes_upto(math.isqrt(limit))[1:], dtype=np.int64)
 
 
 def _check_limit(limit: int, reach: int = 0) -> None:
@@ -89,7 +95,7 @@ def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]
         raise CapacityError(
             f"windows with an overlap of {2 * reach} need {size} bytes, over budget {mem_budget()}"
         )
-    base = _primes_upto(math.isqrt(limit))
+    base = _odd_base_primes(limit)
     buf = np.empty(size, dtype=bool)
     return (
         (start, sieve_window(buf[: end - start], start, base))
@@ -110,7 +116,7 @@ def prime_flags(limit: int) -> np.ndarray:
             f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
         )
     flags = np.empty(size, dtype=bool)
-    base = _primes_upto(math.isqrt(limit))
+    base = _odd_base_primes(limit)
     for i in range(0, size, WINDOW):
         sieve_window(flags[i : i + WINDOW], i, base)
     return flags

@@ -75,6 +75,9 @@ class SearchResult:
     nodes_explored: int
     proven_minimal: bool
     budget_exhausted: bool
+    # the smallest diameter not yet shown infeasible: diameter once proven,
+    # None when no tuple exists
+    proven_lower_bound: int | None
 
 
 def residue_coverage(H: IntegerTuple, p: int) -> int:
@@ -259,7 +262,13 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
                 new ^= guard
                 forbidden |= class_of_bit[free & field_of_guard[guard]]
         hi = top + depth  # leave room for the remaining slots
-        open_ = ((allowed & ~forbidden) >> low) & ((2 << (hi - low)) - 1)
+        open_ = (allowed & ~forbidden) >> low
+        # Every later element lies in [low, d) and stays open: forbidden only
+        # grows and allowed only narrows with depth. Fewer such positions than
+        # the m - depth slots left reject the whole run, charged below.
+        if (open_ & ((1 << (d - low)) - 1)).bit_count() < m - depth:
+            open_ = 0
+        open_ &= (2 << (hi - low)) - 1
         pos = low  # the first candidate not yet charged
         while open_:
             bit = open_ & -open_
@@ -288,7 +297,9 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
 
 
 def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> SearchResult:
-    """Iterative deepening over the diameters up to the incumbent's."""
+    """Iterative deepening over the diameters up to the incumbent's. A run
+    that passes the budget returns the incumbent, with the diameter it was
+    searching as the proven lower bound."""
     ps = _primes_upto(k)
     table = None
     nodes = 0
@@ -303,7 +314,9 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
             middles, nodes = _search_fixed_diameter(k, d, table, nodes, budget)
             if middles is not None:
                 H = IntegerTuple(tuple([0] + middles + [d]))
-                return SearchResult(H, d, nodes, proven_minimal=True, budget_exhausted=False)
+                return SearchResult(
+                    H, d, nodes, proven_minimal=True, budget_exhausted=False, proven_lower_bound=d
+                )
     except _BudgetExhausted:
         return SearchResult(
             incumbent,
@@ -311,6 +324,7 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
             budget + 1,
             proven_minimal=False,
             budget_exhausted=True,
+            proven_lower_bound=d,  # every smaller diameter was searched in full
         )
     raise AssertionError("unreachable: the incumbent's diameter is always attainable")
 
@@ -347,7 +361,9 @@ def search_min_diameter_difference_smooth(
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if y < largest_prime_leq(k):
-        return SearchResult(None, None, 0, proven_minimal=True, budget_exhausted=False)
+        return SearchResult(
+            None, None, 0, proven_minimal=True, budget_exhausted=False, proven_lower_bound=None
+        )
     return _deepen(k, y, construct_primorial_tuple(k), budget)
 
 

@@ -101,6 +101,32 @@ def brute_min_diameter(k: int, max_d: int, smooth_y: int | None = None):
     return None
 
 
+def brute_fixed_diameter(k: int, d: int, smooth_y: int | None = None):
+    """The lex-smallest middles (h_1, ..., h_{k-2}), 0 < h_1 < ... < h_{k-2} < d,
+    that make (0, h_1, ..., h_{k-2}, d) admissible, and difference
+    smooth_y-smooth if smooth_y is given; None if there are none.
+
+    Walks the middles depth first in lex order and drops a prefix that
+    fails: every sub-tuple of a passing tuple passes too.
+    """
+    def passes(elements):
+        if smooth_y is not None and not brute_difference_smooth(elements, smooth_y):
+            return False
+        return brute_obstruction(elements, d + k) is None
+
+    def walk(middle):
+        if len(middle) == k - 2:
+            return middle
+        for v in range(middle[-1] + 1 if middle else 1, d):
+            if passes((0, *middle, v, d)):
+                found = walk(middle + (v,))
+                if found is not None:
+                    return found
+        return None
+
+    return walk(()) if passes((0, d)) else None
+
+
 def brute_pair_count(x: int, y: int, include_gap_one: bool = True) -> int:
     primes = trial_primes(x)
     count = 0

@@ -168,5 +168,6 @@ def test_criterion_8_baseline_diameter():
     report(
         8,
         f"baseline diameter 260; search under 1e7 nodes returned {result.diameter} "
-        f"(budget_exhausted={result.budget_exhausted})",
+        f"(budget_exhausted={result.budget_exhausted}, proven lower bound "
+        f"{result.proven_lower_bound}; the known optimum is 246)",
     )

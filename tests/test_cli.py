@@ -536,8 +536,8 @@ GOLDEN_REPORTS = [
         (
             '{"budget_exhausted": false, "certified_impossible": false, "diameter": 6,'
             ' "impossible_reason": null, "k": 3, "nodes_explored": 8,'
-            ' "proven_minimal": true, "schema": "smoothgap/1", "smooth_bound": 3,'
-            ' "tuple": [0, 2, 6]}\n'
+            ' "proven_lower_bound": 6, "proven_minimal": true, "schema": "smoothgap/1",'
+            ' "smooth_bound": 3, "tuple": [0, 2, 6]}\n'
         ),
     ),
     (
@@ -546,8 +546,8 @@ GOLDEN_REPORTS = [
         (
             '{"budget_exhausted": false, "certified_impossible": true, "diameter": null,'
             ' "impossible_reason": "admissible 3-tuples are never difference l-smooth for l < 3",'
-            ' "k": 3, "nodes_explored": 0, "proven_minimal": true, "schema": "smoothgap/1",'
-            ' "smooth_bound": 2, "tuple": null}\n'
+            ' "k": 3, "nodes_explored": 0, "proven_lower_bound": null, "proven_minimal": true,'
+            ' "schema": "smoothgap/1", "smooth_bound": 2, "tuple": null}\n'
         ),
     ),
     (

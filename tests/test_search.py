@@ -1,9 +1,11 @@
 import pytest
 
-from smoothgap.primes import largest_prime_leq
+from smoothgap.primes import _primes_upto, largest_prime_leq
 from smoothgap.tuples import (
     IntegerTuple,
     SearchResult,
+    _Positions,
+    _search_fixed_diameter,
     diameter,
     is_admissible,
     is_difference_smooth,
@@ -11,7 +13,7 @@ from smoothgap.tuples import (
     search_min_diameter_difference_smooth,
 )
 
-from tests.oracles import brute_min_diameter
+from tests.oracles import brute_fixed_diameter, brute_min_diameter
 
 # frozen from the exhaustive oracle (diameters <= 50)
 MIN_ADMISSIBLE = {2: 2, 3: 6, 4: 8, 5: 12}
@@ -88,6 +90,45 @@ def test_smooth_budget_exhaustion():
     assert is_difference_smooth(result.tuple, largest_prime_leq(12))
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("smooth", [False, True])
+def test_fixed_diameter_matches_exhaustive_walk(k, smooth):
+    # the kernel, with its cut of branches whose open positions cannot fill
+    # their slots, against every middle for the endpoints 0 and d
+    y = largest_prime_leq(k) if smooth else None
+    table = _Positions(_primes_upto(k), 256, y)
+    for d in range(2 * (k - 1), 37):
+        middles, _ = _search_fixed_diameter(k, d, table, 0, 10**9)
+        expected = brute_fixed_diameter(k, d, y)
+        assert (None if middles is None else tuple(middles)) == expected, d
+
+
+def test_proven_lower_bound_never_falls_as_the_budget_grows():
+    bounds = [
+        search_min_diameter_admissible(50, budget).proven_lower_bound
+        for budget in (1, 10**2, 10**3, 10**4, 10**5, 10**6)
+    ]
+    assert bounds == sorted(bounds)
+    assert bounds[0] == 2 * 49  # the widest gaps are 2, so nothing below is searched
+    assert bounds[-1] <= 246  # the narrowest admissible 50-tuple (Polymath8b; OEIS A008407)
+    smooth = [
+        search_min_diameter_difference_smooth(12, 11, budget)
+        for budget in (1, 10**2, 10**3, 10**4, 28_404, 28_405)
+    ]
+    assert [r.proven_lower_bound for r in smooth] == sorted(r.proven_lower_bound for r in smooth)
+    assert smooth[-1].proven_minimal and smooth[-1].proven_lower_bound == 84
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, minimum", [(25, 110), (26, 114), (28, 126)])
+def test_admissible_minima_past_24(k, minimum):
+    # OEIS A008407; k = 26 takes 11.9M nodes
+    result = search_min_diameter_admissible(k, budget=10**8)
+    assert result.proven_minimal
+    assert result.diameter == result.proven_lower_bound == minimum
+    assert is_admissible(result.tuple)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_constrained_minimum_never_beats_unconstrained(k):
     unconstrained = search_min_diameter_admissible(k)
@@ -122,10 +163,16 @@ def test_search_domain_errors():
             search_min_diameter_difference_smooth(5, 3, budget)
 
 
-# Golden table, frozen from the per-candidate kernel that preceded the bitset
-# kernel: the same tuples, the same node counts and the same status, including
-# the runs that stop exactly at the budget (k = 10 proves its minimum in 3,493
-# nodes, smooth (12, 11) in 219,275).
+# Golden table: the tuple, node count and status of each search. The rows were
+# frozen from the per-candidate kernel that preceded the bitset kernel, or,
+# from the rows for k = 10 at 1,315 nodes on, from the kernel that cuts a
+# branch once its open positions cannot fill its slots. That cut kept every
+# tuple and status and lowered the counts listed in CUT_NODES (k = 18 proved
+# its minimum in 2,142,991 nodes before it, in 109,913 since); the node column
+# keeps the count each row was frozen with, which is also part of its test id.
+# The runs that stop exactly at the budget sit at the proof counts: k = 10
+# proves its minimum in 1,316 nodes, smooth (12, 11) in 28,405. The minima for
+# k = 19..24 are OEIS A008407's.
 INCUMBENT_20 = (0, 6, 8, 14, 18, 20, 24, 30, 36, 38, 44, 48, 50, 56, 60, 66, 74, 78, 80, 84)
 INCUMBENT_30 = (
     0, 6, 10, 12, 16, 22, 28, 30, 36, 40, 42, 48, 52, 58, 66, 70, 72, 76, 78, 82, 96, 100,
@@ -172,9 +219,30 @@ ADMISSIBLE_GOLDEN = [
     (50, 50, INCUMBENT_50, 51, "exhausted"),
     (50, 12_345, INCUMBENT_50, 12_346, "exhausted"),
     (50, 10**5, INCUMBENT_50, 100_001, "exhausted"),
-    (10, 3_492, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "exhausted"),
+    (10, 1_315, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, "exhausted"),
     (10, 3_493, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
     (10, 3_494, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
+    (10, 1_316, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, "proven"),
+    (19, 10**7,
+        (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 54, 60, 66, 70, 72, 76),
+        237_836, "proven"),
+    (20, 10**7,
+        (0, 2, 6, 8, 12, 20, 26, 30, 36, 38, 42, 48, 50, 56, 62, 66, 68, 72, 78, 80),
+        316_080, "proven"),
+    (21, 10**7,
+        (0, 2, 8, 12, 14, 18, 24, 30, 32, 38, 42, 44, 50, 54, 60, 68, 72, 74, 78, 80, 84),
+        358_116, "proven"),
+    (22, 10**7,
+        (0, 2, 6, 8, 12, 20, 26, 30, 36, 38, 42, 48, 50, 56, 62, 66, 68, 72, 78, 80, 86, 90),
+        698_516, "proven"),
+    (23, 10**7,
+        (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 54, 60, 66, 70, 72, 76, 82, 84,
+            90, 94),
+        1_258_759, "proven"),
+    (24, 10**7,
+        (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 60, 66, 70, 72, 76, 82, 84, 90,
+            94, 96, 100),
+        2_256_782, "proven"),
 ]
 SMOOTH_GOLDEN = [
     (2, 2, 10**7, (0, 2), 1, "proven"),
@@ -227,28 +295,53 @@ SMOOTH_GOLDEN = [
     (9, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 1_982, "proven"),
     (12, 11, 10**7, SMOOTH_12_11, 219_275, "proven"),
     (12, 47, 50, PRIMORIAL_12, 51, "exhausted"),
-    (12, 11, 219_274, PRIMORIAL_12, 219_275, "exhausted"),
+    (12, 11, 28_404, PRIMORIAL_12, 28_405, "exhausted"),
     (12, 11, 219_275, SMOOTH_12_11, 219_275, "proven"),
+    (12, 11, 28_405, SMOOTH_12_11, 28_405, "proven"),
 ]
+# The inputs (k, budget) or (k, y, budget) of the rows frozen before the cut
+# whose count it lowered, and their count since; none rose.
+CUT_NODES = {
+    (5, 10**7): 25, (6, 10**7): 86, (7, 10**7): 174, (8, 10**7): 674, (9, 10**7): 828,
+    (10, 10**7): 1_316, (11, 10**7): 1_641, (12, 10**7): 4_387, (13, 10**7): 10_595,
+    (14, 10**7): 11_221, (15, 10**7): 26_943, (16, 10**7): 27_050, (18, 10**7): 109_913,
+    (10, 3_493): 1_316, (10, 3_494): 1_316, (5, 5, 10**7): 25, (5, 7, 10**7): 25,
+    (5, 11, 10**7): 25, (5, 13, 10**7): 25, (6, 5, 10**7): 49, (6, 7, 10**7): 86,
+    (6, 11, 10**7): 86, (6, 13, 10**7): 86, (7, 7, 10**7): 174, (7, 11, 10**7): 174,
+    (7, 13, 10**7): 174, (8, 7, 10**7): 1_125, (8, 11, 10**7): 680, (8, 13, 10**7): 674,
+    (9, 7, 10**7): 8_105, (9, 11, 10**7): 1_416, (9, 13, 10**7): 828,
+    (12, 11, 10**7): 28_405, (12, 11, 219_275): 28_405,
+}
+# The proven lower bound of each run that stops at the budget: the diameter it
+# was searching. A proven run's is its diameter, an impossible one's None.
+EXHAUSTED_LOWER = {
+    (20, 1): 38, (20, 50): 42, (20, 12_345): 64, (20, 10**5): 74, (30, 1): 58, (30, 50): 60,
+    (30, 12_345): 86, (30, 10**5): 98, (50, 1): 98, (50, 50): 98, (50, 12_345): 120,
+    (50, 10**5): 144, (10, 1_315): 32, (12, 47, 50): 24, (12, 11, 28_404): 84,
+}
 
 
-def _expected(elements, nodes, status):
+def _expected(inputs, elements, nodes, status):
     H = None if elements is None else IntegerTuple(elements)
+    assert CUT_NODES.get(inputs, nodes) <= nodes
     return SearchResult(
         tuple=H,
         diameter=None if H is None else diameter(H),
-        nodes_explored=nodes,
+        nodes_explored=CUT_NODES.get(inputs, nodes),
         proven_minimal=status != "exhausted",
         budget_exhausted=status == "exhausted",
+        proven_lower_bound=EXHAUSTED_LOWER[inputs] if status == "exhausted"
+        else None if H is None else diameter(H),
     )
 
 
 @pytest.mark.parametrize("k, budget, elements, nodes, status", ADMISSIBLE_GOLDEN)
 def test_admissible_search_golden(k, budget, elements, nodes, status):
-    assert search_min_diameter_admissible(k, budget) == _expected(elements, nodes, status)
+    expected = _expected((k, budget), elements, nodes, status)
+    assert search_min_diameter_admissible(k, budget) == expected
 
 
 @pytest.mark.parametrize("k, y, budget, elements, nodes, status", SMOOTH_GOLDEN)
 def test_smooth_search_golden(k, y, budget, elements, nodes, status):
     result = search_min_diameter_difference_smooth(k, y, budget)
-    assert result == _expected(elements, nodes, status)
+    assert result == _expected((k, y, budget), elements, nodes, status)
