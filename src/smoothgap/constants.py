@@ -9,6 +9,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._sieve import _window_primes, prime_windows
+from .errors import CapacityError
 from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
 DEFAULT_PRIME_CUTOFF = 10**6
@@ -39,7 +40,7 @@ def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> Singula
     it holds no table of the primes up to the cutoff. The cutoff defaults to
     DEFAULT_PRIME_CUTOFF, or k or diameter + 1 where either is larger.
 
-    Exactly 0 (and admissible = False) when some v_p = p.
+    Exactly 0 (and admissible = False) when some v_p = p; CapacityError past the largest float.
     """
     k = len(H)
     d = diameter(H)
@@ -65,7 +66,10 @@ def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> Singula
         np.log1p(log_terms, out=log_terms)
         log_terms -= k_logs
         total += float(np.sum(log_terms))
-    value = float(math.exp(total))
+    try:
+        value = math.exp(total)
+    except OverflowError:
+        raise CapacityError(f"singular series e^{total:.6g} exceeds the float range") from None
     return SingularSeriesEstimate(value, k, prime_cutoff, tail, True)
 
 
@@ -91,7 +95,8 @@ def hl_predictions(H: IntegerTuple, xs) -> list[tuple[float, float]]:
     The ratio form is G * x / (log x)^k; the integral form is
     G * int_2^x dt/(log t)^k, asymptotically equivalent but far closer at
     desk scale. G is singular_series(H) at its default cutoff, computed
-    once for all of xs.
+    once for all of xs. Both forms are 0 for a non-admissible H; raises
+    CapacityError when (log x)^k exceeds the float range.
     """
     xs = [float(c) for c in xs]
     if any(x <= 2 for x in xs):
@@ -99,5 +104,10 @@ def hl_predictions(H: IntegerTuple, xs) -> list[tuple[float, float]]:
     if not xs:
         return []
     k = len(H)
-    g = singular_series(H).value  # 0.0 for a non-admissible H
-    return [(g * x / math.log(x) ** k, g * log_power_integral(k, x)) for x in xs]
+    g = singular_series(H).value
+    if g == 0.0:
+        return [(0.0, 0.0)] * len(xs)
+    try:
+        return [(g * x / math.log(x) ** k, g * log_power_integral(k, x)) for x in xs]
+    except OverflowError:
+        raise CapacityError(f"(log x)^{k} exceeds the float range") from None

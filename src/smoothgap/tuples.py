@@ -187,27 +187,24 @@ class _Positions:
 
     def __init__(self, ps, n: int, y: int | None):
         self.n = n
-        self.fields = self.guards = self.lows = 0
-        self.field_of_guard = {}  # guard bit -> the bits of its field
-        self.class_of_bit = {}  # coverage bit -> the positions in its class
+        fields = self.guards = self.lows = 0
+        self.classes = {}  # guard bit -> (field, field offset, positions 0, p, 2p, ...)
         own = [0] * (n + 1)  # own[v]: the classes of v
         offset = 0
         for p in ps:
             field = ((1 << p) - 1) << offset
             guard = 1 << (offset + p)
-            self.fields |= field
+            fields |= field
             self.guards |= guard
             self.lows |= 1 << offset
-            self.field_of_guard[guard] = field
-            multiples = int("1".rjust(p, "0") * (n // p + 1), 2)  # bits 0, p, 2p, ...
-            for r in range(p):
-                self.class_of_bit[1 << (offset + r)] = multiples << r
+            multiples = int("1".rjust(p, "0") * (n // p + 1), 2)
+            self.classes[guard] = (field, offset, multiples)
             for v in range(n + 1):
                 own[v] |= 1 << (offset + v % p)
             offset += p + 1
-        self.clear = [self.fields & ~bits for bits in own]  # every class but v's
-        # smooth: the positions s with s y-smooth, 0 included
-        self.smooth = None
+        self.clear = [fields & ~bits for bits in own]  # every class but v's
+        # smooth: the positions s with s y-smooth, 0 included; all without y
+        self.smooth = (2 << n) - 1
         if y is not None:
             digits = ["0"] * (n + 1)
             for s in [0] + smooth_numbers_up_to(y, n):
@@ -218,61 +215,58 @@ class _Positions:
 def _search_fixed_diameter(k, d, table, nodes, budget):
     """First (lex-smallest) admissible k-tuple 0 = h_0 < ... < h_{k-1} = d.
 
-    With table.smooth set, every pairwise difference must be smooth.
-    A node is one candidate element, placed or rejected: the rejected
-    ones are skipped a run at a time and charged in bulk. Returns the
-    middle elements or None, and the node count; raises _BudgetExhausted
-    once the count passes budget.
+    Every pairwise difference must be in table.smooth. A node is one
+    candidate element, placed or rejected: the rejected ones are skipped a
+    run at a time and charged in bulk. Returns the middle elements or None,
+    and the node count; raises _BudgetExhausted once the count passes budget.
     """
     m = k - 2  # free slots between the endpoints
-    free = table.fields & table.clear[0] & table.clear[d]
+    free = table.clear[0] & table.clear[d]
     guards, lows = table.guards, table.lows
     if ((free | guards) - lows) & guards != guards:
         return None, nodes  # the endpoints cover every class of some prime
     smooth = table.smooth
-    allowed = (2 << d) - 1
-    if smooth is not None:
-        if not (smooth >> d) & 1:
-            return None, nodes
-        # v - 0 and d - v smooth
-        allowed = smooth & int(format(smooth & allowed, f"0{d + 1}b")[::-1], 2)
+    if not (smooth >> d) & 1:
+        return None, nodes
+    # the middles 1..d - 1 with v - 0 and d - v smooth
+    open_ = smooth & int(format(smooth & ((2 << d) - 1), f"0{d + 1}b")[::-1], 2) & ((1 << d) - 2)
     if m == 0:
         return [], nodes
-    clear, class_of_bit, field_of_guard = table.clear, table.class_of_bit, table.field_of_guard
+    clear, classes = table.clear, table.classes
     top = d - m  # the last candidate at depth 0
     last = m - 1
 
-    # free: the classes still uncovered; grew: whether the last element
-    # covered a new one; singles: the guards of the primes down to one free
-    # class; forbidden: the positions in those classes, which only grows
-    # with depth; allowed: the positions every difference permits.
-    def extend(depth, low, free, grew, singles, forbidden, allowed):
+    # free: the classes still uncovered; singles: the guards of the primes
+    # down to one free class; open_: the positions outside those last classes
+    # whose differences to every element are permitted. open_ only narrows
+    # with depth.
+    def extend(depth, low, free, singles, open_):
         nonlocal nodes
-        if grew:
-            # Each field x of rest is x & (x - 1): with its guard set, x - 1
-            # borrows only within the field. Every prime keeps a free class,
-            # so x > 0, and rest's field is 0 iff one class is left; the
-            # second subtraction clears exactly those fields' guards.
-            rest = free & ((free | guards) - lows)
-            now = guards ^ (((rest | guards) - lows) & guards)
-            new = now ^ singles
-            singles = now
-            while new:
-                guard = new & -new
-                new ^= guard
-                forbidden |= class_of_bit[free & field_of_guard[guard]]
+        # Each field x of rest is x & (x - 1): with its guard set, x - 1
+        # borrows only within the field. Every prime keeps a free class,
+        # so x > 0, and rest's field is 0 iff one class is left; the
+        # second subtraction clears exactly those fields' guards.
+        rest = free & ((free | guards) - lows)
+        now = guards ^ (((rest | guards) - lows) & guards)
+        new = now ^ singles
+        singles = now
+        while new:
+            guard = new & -new
+            new ^= guard
+            field, offset, multiples = classes[guard]
+            open_ &= ~(multiples << ((free & field).bit_length() - 1 - offset))
         hi = top + depth  # leave room for the remaining slots
-        open_ = (allowed & ~forbidden) >> low
-        # Every later element lies in [low, d) and stays open: forbidden only
-        # grows and allowed only narrows with depth. Fewer such positions than
-        # the m - depth slots left reject the whole run, charged below.
-        if (open_ & ((1 << (d - low)) - 1)).bit_count() < m - depth:
-            open_ = 0
-        open_ &= (2 << (hi - low)) - 1
+        run = open_ >> low
+        # Every later element lies in [low, d) and stays in open_, which only
+        # narrows with depth. Fewer such positions than the m - depth slots
+        # left reject the whole run, charged below.
+        if run.bit_count() < m - depth:
+            run = 0
+        run &= (2 << (hi - low)) - 1
         pos = low  # the first candidate not yet charged
-        while open_:
-            bit = open_ & -open_
-            open_ ^= bit
+        while run:
+            bit = run & -run
+            run ^= bit
             v = low + bit.bit_length() - 1
             nodes += v - pos + 1
             if nodes > budget:
@@ -280,12 +274,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
             pos = v + 1
             if depth == last:
                 return [v]
-            placed = free & clear[v]
-            if smooth is not None:
-                narrowed = allowed & (smooth << v)
-            else:
-                narrowed = allowed
-            tail = extend(depth + 1, pos, placed, placed != free, singles, forbidden, narrowed)
+            tail = extend(depth + 1, pos, free & clear[v], singles, open_ & (smooth << v))
             if tail is not None:
                 return [v] + tail
         nodes += hi - pos + 1
@@ -293,7 +282,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
             raise _BudgetExhausted
         return None
 
-    return extend(0, 1, free, True, 0, 0, allowed), nodes
+    return extend(0, 1, free, 0, open_), nodes
 
 
 def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> SearchResult:

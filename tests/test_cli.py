@@ -18,6 +18,7 @@ from smoothgap.cli import (
     run,
 )
 from smoothgap.errors import TupleParseError
+from smoothgap.tuples import construct_consecutive_prime_tuple
 
 
 def invoke(capsys, *argv):
@@ -432,6 +433,34 @@ def test_constants_cutoff_below_two_is_a_usage_error(capsys, cutoff):
     code, out, err = invoke(capsys, "constants", "--singular-series", "0", "--cutoff", cutoff)
     assert (code, out) == (EXIT_USAGE, "")
     assert len(err.strip().splitlines()) == 1
+
+
+def _consecutive_prime(k):
+    return ",".join(map(str, construct_consecutive_prime_tuple(k)))
+
+
+def test_singular_series_past_the_float_range_is_a_capacity_exit(capsys):
+    # G of the consecutive-prime 406-tuple is 4.8e307, of the 407-tuple e^710.4
+    code, out, _ = invoke(capsys, "constants", "--singular-series", _consecutive_prime(406))
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == pytest.approx(4.79561340574e307, rel=1e-9)
+    code, out, err = invoke(capsys, "constants", "--singular-series", _consecutive_prime(407))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("capacity: ") and len(err.strip().splitlines()) == 1
+
+
+def test_translate_predictions_past_the_float_range(capsys):
+    # (log 10^6)^300 exceeds the largest float
+    argv = ("scan", "tuple-translates", "1000000", "--tuple-file")
+    code, out, err = invoke(capsys, *argv, _consecutive_prime(300))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("capacity: ") and len(err.strip().splitlines()) == 1
+    # G = 0 for an inadmissible tuple, so both predictions are 0 without the power
+    code, out, _ = invoke(capsys, *argv, ",".join(str(2 * i) for i in range(300)))
+    assert code == EXIT_OK
+    (record,) = json.loads(out)["records"]
+    assert (record["hl_ratio_prediction"], record["hl_integral_prediction"]) == (0.0, 0.0)
+    assert record["count"] == 0 and record["ratio"] is None
 
 
 def test_constants_no_flag(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from smoothgap.primes import _primes_upto, largest_prime_leq
@@ -103,6 +105,19 @@ def test_fixed_diameter_matches_exhaustive_walk(k, smooth):
         assert (None if middles is None else tuple(middles)) == expected, d
 
 
+def test_position_table_holds_one_class_mask_per_prime():
+    # the table a k = 200 search builds at its first diameter, 398: with a
+    # position mask per residue class it held 3.5 MB, with one per prime 1.0 MB
+    tracemalloc.start()
+    try:
+        table = _Positions(_primes_upto(200), 1592, None)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.clear) == 1593
+    assert held < 2 * 10**6
+
+
 def test_proven_lower_bound_never_falls_as_the_budget_grows():
     bounds = [
         search_min_diameter_admissible(50, budget).proven_lower_bound
@@ -163,16 +178,18 @@ def test_search_domain_errors():
             search_min_diameter_difference_smooth(5, 3, budget)
 
 
-# Golden table: the tuple, node count and status of each search. The rows were
-# frozen from the per-candidate kernel that preceded the bitset kernel, or,
-# from the rows for k = 10 at 1,315 nodes on, from the kernel that cuts a
-# branch once its open positions cannot fill its slots. That cut kept every
-# tuple and status and lowered the counts listed in CUT_NODES (k = 18 proved
-# its minimum in 2,142,991 nodes before it, in 109,913 since); the node column
-# keeps the count each row was frozen with, which is also part of its test id.
-# The runs that stop exactly at the budget sit at the proof counts: k = 10
-# proves its minimum in 1,316 nodes, smooth (12, 11) in 28,405. The minima for
-# k = 19..24 are OEIS A008407's.
+# Golden table: the inputs of each admissible search, (k, budget), then its
+# whole result: tuple, node count, proven lower bound and status. The rows up
+# to k = 50 at 10**5 were frozen from the per-candidate kernel that preceded
+# the bitset kernel, the later rows from the kernel that cuts a branch once its
+# open positions cannot fill its slots. That cut kept every tuple and status;
+# the node column holds its counts (k = 18 proved its minimum in 2,142,991
+# nodes before it, in 109,913 since). The test ids name the inputs alone, so a
+# pruning rule that lowers the counts edits the node column and renames no
+# test. The smooth rows, (k, y, budget), follow below. The runs that stop exactly at the budget sit at the proof counts:
+# k = 10 proves its minimum in 1,316 nodes, smooth (12, 11) in 28,405. A run
+# that stops at the budget reports the diameter it was searching as its lower
+# bound. The minima for k = 19..24 are OEIS A008407's.
 INCUMBENT_20 = (0, 6, 8, 14, 18, 20, 24, 30, 36, 38, 44, 48, 50, 56, 60, 66, 74, 78, 80, 84)
 INCUMBENT_30 = (
     0, 6, 10, 12, 16, 22, 28, 30, 36, 40, 42, 48, 52, 58, 66, 70, 72, 76, 78, 82, 96, 100,
@@ -187,62 +204,62 @@ SMOOTH_12_11 = (0, 12, 18, 24, 28, 30, 40, 42, 48, 60, 72, 84)
 PRIMORIAL_12 = (0, 2310, 4620, 6930, 9240, 11550, 13860, 16170, 18480, 20790, 23100, 25410)
 
 ADMISSIBLE_GOLDEN = [
-    (2, 10**7, (0, 2), 1, "proven"),
-    (3, 10**7, (0, 2, 6), 8, "proven"),
-    (4, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (5, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
-    (6, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
-    (7, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
-    (8, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 1_200, "proven"),
-    (9, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 1_982, "proven"),
-    (10, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
-    (11, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36), 5_546, "proven"),
-    (12, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42), 18_014, "proven"),
-    (13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48), 54_975, "proven"),
-    (14, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50), 82_981, "proven"),
-    (15, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56), 244_269, "proven"),
+    (2, 10**7, (0, 2), 1, 2, "proven"),
+    (3, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (4, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (5, 10**7, (0, 2, 6, 8, 12), 25, 12, "proven"),
+    (6, 10**7, (0, 4, 6, 10, 12, 16), 86, 16, "proven"),
+    (7, 10**7, (0, 2, 6, 8, 12, 18, 20), 174, 20, "proven"),
+    (8, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 674, 26, "proven"),
+    (9, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 828, 30, "proven"),
+    (10, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, 32, "proven"),
+    (11, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36), 1_641, 36, "proven"),
+    (12, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42), 4_387, 42, "proven"),
+    (13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48), 10_595, 48, "proven"),
+    (14, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50), 11_221, 50, "proven"),
+    (15, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56), 26_943, 56, "proven"),
     (16, 10**7,
         (0, 2, 6, 12, 14, 20, 26, 30, 32, 36, 42, 44, 50, 54, 56, 60),
-        375_216, "proven"),
+        27_050, 60, "proven"),
     (18, 10**7,
         (0, 4, 6, 10, 16, 18, 24, 28, 30, 34, 40, 46, 48, 54, 58, 60, 66, 70),
-        2_142_991, "proven"),
-    (20, 1, INCUMBENT_20, 2, "exhausted"),
-    (20, 50, INCUMBENT_20, 51, "exhausted"),
-    (20, 12_345, INCUMBENT_20, 12_346, "exhausted"),
-    (20, 10**5, INCUMBENT_20, 100_001, "exhausted"),
-    (30, 1, INCUMBENT_30, 2, "exhausted"),
-    (30, 50, INCUMBENT_30, 51, "exhausted"),
-    (30, 12_345, INCUMBENT_30, 12_346, "exhausted"),
-    (30, 10**5, INCUMBENT_30, 100_001, "exhausted"),
-    (50, 1, INCUMBENT_50, 2, "exhausted"),
-    (50, 50, INCUMBENT_50, 51, "exhausted"),
-    (50, 12_345, INCUMBENT_50, 12_346, "exhausted"),
-    (50, 10**5, INCUMBENT_50, 100_001, "exhausted"),
-    (10, 1_315, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, "exhausted"),
-    (10, 3_493, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
-    (10, 3_494, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 3_493, "proven"),
-    (10, 1_316, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, "proven"),
+        109_913, 70, "proven"),
+    (20, 1, INCUMBENT_20, 2, 38, "exhausted"),
+    (20, 50, INCUMBENT_20, 51, 42, "exhausted"),
+    (20, 12_345, INCUMBENT_20, 12_346, 64, "exhausted"),
+    (20, 10**5, INCUMBENT_20, 100_001, 74, "exhausted"),
+    (30, 1, INCUMBENT_30, 2, 58, "exhausted"),
+    (30, 50, INCUMBENT_30, 51, 60, "exhausted"),
+    (30, 12_345, INCUMBENT_30, 12_346, 86, "exhausted"),
+    (30, 10**5, INCUMBENT_30, 100_001, 98, "exhausted"),
+    (50, 1, INCUMBENT_50, 2, 98, "exhausted"),
+    (50, 50, INCUMBENT_50, 51, 98, "exhausted"),
+    (50, 12_345, INCUMBENT_50, 12_346, 120, "exhausted"),
+    (50, 10**5, INCUMBENT_50, 100_001, 144, "exhausted"),
+    (10, 1_315, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, 32, "exhausted"),
+    (10, 3_493, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, 32, "proven"),
+    (10, 3_494, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, 32, "proven"),
+    (10, 1_316, (0, 2, 6, 8, 12, 18, 20, 26, 30, 32), 1_316, 32, "proven"),
     (19, 10**7,
         (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 54, 60, 66, 70, 72, 76),
-        237_836, "proven"),
+        237_836, 76, "proven"),
     (20, 10**7,
         (0, 2, 6, 8, 12, 20, 26, 30, 36, 38, 42, 48, 50, 56, 62, 66, 68, 72, 78, 80),
-        316_080, "proven"),
+        316_080, 80, "proven"),
     (21, 10**7,
         (0, 2, 8, 12, 14, 18, 24, 30, 32, 38, 42, 44, 50, 54, 60, 68, 72, 74, 78, 80, 84),
-        358_116, "proven"),
+        358_116, 84, "proven"),
     (22, 10**7,
         (0, 2, 6, 8, 12, 20, 26, 30, 36, 38, 42, 48, 50, 56, 62, 66, 68, 72, 78, 80, 86, 90),
-        698_516, "proven"),
+        698_516, 90, "proven"),
     (23, 10**7,
         (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 54, 60, 66, 70, 72, 76, 82, 84,
             90, 94),
-        1_258_759, "proven"),
+        1_258_759, 94, "proven"),
     (24, 10**7,
         (0, 4, 6, 10, 12, 16, 24, 30, 34, 40, 42, 46, 52, 60, 66, 70, 72, 76, 82, 84, 90,
             94, 96, 100),
-        2_256_782, "proven"),
+        2_256_782, 100, "proven"),
 ]
 SMOOTH_GOLDEN = [
     (2, 2, 10**7, (0, 2), 1, "proven"),
@@ -299,49 +316,48 @@ SMOOTH_GOLDEN = [
     (12, 11, 219_275, SMOOTH_12_11, 219_275, "proven"),
     (12, 11, 28_405, SMOOTH_12_11, 28_405, "proven"),
 ]
-# The inputs (k, budget) or (k, y, budget) of the rows frozen before the cut
-# whose count it lowered, and their count since; none rose.
+# The smooth rows still carry the count each was frozen with, which is part of
+# their test ids: CUT_NODES holds the count since the cut for the rows it
+# lowered (none rose), EXHAUSTED_LOWER the lower bound of each run that stops
+# at the budget. Keying these rows by their inputs too, as above, renames all
+# 53 of their tests, so it is left to a change of its own.
 CUT_NODES = {
-    (5, 10**7): 25, (6, 10**7): 86, (7, 10**7): 174, (8, 10**7): 674, (9, 10**7): 828,
-    (10, 10**7): 1_316, (11, 10**7): 1_641, (12, 10**7): 4_387, (13, 10**7): 10_595,
-    (14, 10**7): 11_221, (15, 10**7): 26_943, (16, 10**7): 27_050, (18, 10**7): 109_913,
-    (10, 3_493): 1_316, (10, 3_494): 1_316, (5, 5, 10**7): 25, (5, 7, 10**7): 25,
-    (5, 11, 10**7): 25, (5, 13, 10**7): 25, (6, 5, 10**7): 49, (6, 7, 10**7): 86,
-    (6, 11, 10**7): 86, (6, 13, 10**7): 86, (7, 7, 10**7): 174, (7, 11, 10**7): 174,
-    (7, 13, 10**7): 174, (8, 7, 10**7): 1_125, (8, 11, 10**7): 680, (8, 13, 10**7): 674,
-    (9, 7, 10**7): 8_105, (9, 11, 10**7): 1_416, (9, 13, 10**7): 828,
-    (12, 11, 10**7): 28_405, (12, 11, 219_275): 28_405,
+    (5, 5, 10**7): 25, (5, 7, 10**7): 25, (5, 11, 10**7): 25, (5, 13, 10**7): 25,
+    (6, 5, 10**7): 49, (6, 7, 10**7): 86, (6, 11, 10**7): 86, (6, 13, 10**7): 86,
+    (7, 7, 10**7): 174, (7, 11, 10**7): 174, (7, 13, 10**7): 174, (8, 7, 10**7): 1_125,
+    (8, 11, 10**7): 680, (8, 13, 10**7): 674, (9, 7, 10**7): 8_105, (9, 11, 10**7): 1_416,
+    (9, 13, 10**7): 828, (12, 11, 10**7): 28_405, (12, 11, 219_275): 28_405,
 }
-# The proven lower bound of each run that stops at the budget: the diameter it
-# was searching. A proven run's is its diameter, an impossible one's None.
-EXHAUSTED_LOWER = {
-    (20, 1): 38, (20, 50): 42, (20, 12_345): 64, (20, 10**5): 74, (30, 1): 58, (30, 50): 60,
-    (30, 12_345): 86, (30, 10**5): 98, (50, 1): 98, (50, 50): 98, (50, 12_345): 120,
-    (50, 10**5): 144, (10, 1_315): 32, (12, 47, 50): 24, (12, 11, 28_404): 84,
-}
+EXHAUSTED_LOWER = {(12, 47, 50): 24, (12, 11, 28_404): 84}
 
 
-def _expected(inputs, elements, nodes, status):
+def _expected(elements, nodes, lower, status):
     H = None if elements is None else IntegerTuple(elements)
-    assert CUT_NODES.get(inputs, nodes) <= nodes
     return SearchResult(
         tuple=H,
         diameter=None if H is None else diameter(H),
-        nodes_explored=CUT_NODES.get(inputs, nodes),
+        nodes_explored=nodes,
         proven_minimal=status != "exhausted",
         budget_exhausted=status == "exhausted",
-        proven_lower_bound=EXHAUSTED_LOWER[inputs] if status == "exhausted"
-        else None if H is None else diameter(H),
+        proven_lower_bound=lower,
     )
 
 
-@pytest.mark.parametrize("k, budget, elements, nodes, status", ADMISSIBLE_GOLDEN)
-def test_admissible_search_golden(k, budget, elements, nodes, status):
-    expected = _expected((k, budget), elements, nodes, status)
+@pytest.mark.parametrize(
+    "k, budget, elements, nodes, lower, status",
+    ADMISSIBLE_GOLDEN,
+    ids=[f"k{k}-b{budget}" for k, budget, *_ in ADMISSIBLE_GOLDEN],
+)
+def test_admissible_search_golden(k, budget, elements, nodes, lower, status):
+    expected = _expected(elements, nodes, lower, status)
     assert search_min_diameter_admissible(k, budget) == expected
 
 
 @pytest.mark.parametrize("k, y, budget, elements, nodes, status", SMOOTH_GOLDEN)
 def test_smooth_search_golden(k, y, budget, elements, nodes, status):
+    inputs = (k, y, budget)
+    assert CUT_NODES.get(inputs, nodes) <= nodes
+    lower = EXHAUSTED_LOWER[inputs] if status == "exhausted" else (
+        None if elements is None else max(elements))
     result = search_min_diameter_difference_smooth(k, y, budget)
-    assert result == _expected((k, y, budget), elements, nodes, status)
+    assert result == _expected(elements, CUT_NODES.get(inputs, nodes), lower, status)
