@@ -15,7 +15,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import CapacityError
-from .primes import _primes_upto, mem_budget
+from .primes import _primes_upto, check_budget
 
 SCAN_LIMIT = 10**12  # desk-scale hard guard
 # Flags per window of the segmented sieve, and per numpy call of the
@@ -91,10 +91,8 @@ def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]
     step = max(WINDOW, reach)
     end = (limit + 1) // 2  # the flags of the odd integers up to limit
     size = min(step + reach, end)
-    if reach > WINDOW and size > mem_budget():
-        raise CapacityError(
-            f"windows with an overlap of {2 * reach} need {size} bytes, over budget {mem_budget()}"
-        )
+    if reach > WINDOW:
+        check_budget(size, f"windows with an overlap of {2 * reach}")
     base = _odd_base_primes(limit)
     buf = np.empty(size, dtype=bool)
     return (
@@ -111,10 +109,7 @@ def prime_flags(limit: int) -> np.ndarray:
     is sieved in place, in its slice of the table."""
     _check_limit(limit)
     size = (limit + 1) // 2
-    if size > mem_budget():
-        raise CapacityError(
-            f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
-        )
+    check_budget(size, f"prime flags to {limit}")
     flags = np.empty(size, dtype=bool)
     base = _odd_base_primes(limit)
     for i in range(0, size, WINDOW):

@@ -36,6 +36,12 @@ def mem_budget() -> int:
     return budget
 
 
+def check_budget(size: int, what: str) -> None:
+    """Raise CapacityError when what, of size bytes, does not fit mem_budget()."""
+    if size > mem_budget():
+        raise CapacityError(f"{what} need {size} bytes, over budget {mem_budget()}")
+
+
 def _primes_upto(limit: int) -> tuple[int, ...]:
     """All primes up to limit inclusive, ascending: the base primes of the
     sieve and the small limits of primorials, smoothness checks and
@@ -44,10 +50,7 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     size = (limit + 1) // 2
-    if size > mem_budget():
-        raise CapacityError(
-            f"prime flags to {limit} need {size} bytes, over budget {mem_budget()}"
-        )
+    check_budget(size, f"prime flags to {limit}")
     flags = bytearray(b"\x01") * size
     flags[:1] = b"\x00"  # 1
     for i in range(1, (math.isqrt(limit) + 1) // 2):

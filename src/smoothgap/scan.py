@@ -334,6 +334,8 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     H = req.tuple.canonical()
     k, m = len(H), req.min_prime_count
     need = k if m is None else m
+    small = sum(c <= 2 for c in req.checkpoints)  # no prediction below x = 3
+    predictions = [(None, None)] * small + hl_predictions(H, req.checkpoints[small:])
     direct = [(n, sum(is_prime(n + h) for h in H.elements)) for n in (1, 2) if n < req.x_max]
     counts = [sum(t == k for n, t in direct if n < c) for c in req.checkpoints]
     at_least = [sum(t >= need for n, t in direct if n < c) for c in req.checkpoints]
@@ -352,8 +354,6 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
         if len(shifts) == k:  # the odd n of an all-even tuple
             counts = [a + b for a, b in zip(counts, full)]
             hits += [2 * j + 1 for j in found]
-    small = sum(c <= 2 for c in req.checkpoints)  # no prediction below x = 3
-    predictions = [(None, None)] * small + hl_predictions(H, req.checkpoints[small:])
     records = []
     rows = zip(req.checkpoints, counts, at_least, predictions)
     for c, count, enough, (ratio_pred, integral_pred) in rows:

@@ -177,32 +177,31 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Positions:
-    """Bit tables over the positions 0..n for the primes ps, and y if given.
+class _Positions(dict):
+    """Bit tables over the positions 0..n for the primes up to k, and y if given.
 
     A coverage word has one field of p bits per prime p, each with a zero
     guard bit above it; bit r of p's field stands for the class r mod p.
-    A position word has bit v set for each position v in it.
+    A position word has bit v set for each position v in it. table[v] is
+    the coverage word of every class but v's, made on first read and kept.
     """
 
-    def __init__(self, ps, n: int, y: int | None):
+    def __init__(self, k: int, n: int, y: int | None):
         self.n = n
-        fields = self.guards = self.lows = 0
+        self.fields = self.guards = self.lows = 0
         self.classes = {}  # guard bit -> (field, field offset, positions 0, p, 2p, ...)
-        own = [0] * (n + 1)  # own[v]: the classes of v
+        self.offsets = []  # (p, field offset)
         offset = 0
-        for p in ps:
+        for p in _primes_upto(k):
             field = ((1 << p) - 1) << offset
             guard = 1 << (offset + p)
-            fields |= field
+            self.fields |= field
             self.guards |= guard
             self.lows |= 1 << offset
             multiples = int("1".rjust(p, "0") * (n // p + 1), 2)
             self.classes[guard] = (field, offset, multiples)
-            for v in range(n + 1):
-                own[v] |= 1 << (offset + v % p)
+            self.offsets.append((p, offset))
             offset += p + 1
-        self.clear = [fields & ~bits for bits in own]  # every class but v's
         # smooth: the positions s with s y-smooth, 0 included; all without y
         self.smooth = (2 << n) - 1
         if y is not None:
@@ -210,6 +209,9 @@ class _Positions:
             for s in [0] + smooth_numbers_up_to(y, n):
                 digits[n - s] = "1"
             self.smooth = int("".join(digits), 2)
+
+    def __missing__(self, v: int) -> int:
+        return self.setdefault(v, self.fields ^ sum(1 << (o + v % p) for p, o in self.offsets))
 
 
 def _search_fixed_diameter(k, d, table, nodes, budget):
@@ -221,7 +223,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
     and the node count; raises _BudgetExhausted once the count passes budget.
     """
     m = k - 2  # free slots between the endpoints
-    free = table.clear[0] & table.clear[d]
+    free = table[0] & table[d]
     guards, lows = table.guards, table.lows
     if ((free | guards) - lows) & guards != guards:
         return None, nodes  # the endpoints cover every class of some prime
@@ -232,7 +234,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
     open_ = smooth & int(format(smooth & ((2 << d) - 1), f"0{d + 1}b")[::-1], 2) & ((1 << d) - 2)
     if m == 0:
         return [], nodes
-    clear, classes = table.clear, table.classes
+    classes = table.classes
     top = d - m  # the last candidate at depth 0
     last = m - 1
 
@@ -274,7 +276,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
             pos = v + 1
             if depth == last:
                 return [v]
-            tail = extend(depth + 1, pos, free & clear[v], singles, open_ & (smooth << v))
+            tail = extend(depth + 1, pos, free & table[v], singles, open_ & (smooth << v))
             if tail is not None:
                 return [v] + tail
         nodes += hi - pos + 1
@@ -289,7 +291,6 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
     """Iterative deepening over the diameters up to the incumbent's. A run
     that passes the budget returns the incumbent, with the diameter it was
     searching as the proven lower bound."""
-    ps = _primes_upto(k)
     table = None
     nodes = 0
     try:
@@ -299,7 +300,7 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
             if nodes > budget:
                 raise _BudgetExhausted
             if table is None or d > table.n:
-                table = _Positions(ps, max(4 * d, 256), y)
+                table = _Positions(k, max(4 * d, 256), y)
             middles, nodes = _search_fixed_diameter(k, d, table, nodes, budget)
             if middles is not None:
                 H = IntegerTuple(tuple([0] + middles + [d]))

@@ -591,6 +591,20 @@ def test_pair_witnesses_ordering():
         assert (p - q) & (p - q - 1) == 0  # 2-smooth gap: a power of two, or 1
 
 
+def test_overflowing_prediction_fails_before_any_window(monkeypatch):
+    # (log 10^9)^300 exceeds the largest float: the predictions come first,
+    # so the scan stops before it sieves a window
+    import smoothgap.scan
+
+    def no_windows(*args):
+        raise AssertionError("a window was read")
+
+    monkeypatch.setattr(smoothgap.scan, "prime_windows", no_windows)
+    H = construct_consecutive_prime_tuple(300)
+    with pytest.raises(CapacityError, match="float range"):
+        run_scan(ScanRequest(10**9, "tuple-translates", tuple=H))
+
+
 def test_translate_scan_does_not_depend_on_call_history(monkeypatch):
     # the singular series is computed afresh by each scan, so a budget set
     # after an earlier scan binds, as it does for the CLI (exit 3)

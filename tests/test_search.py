@@ -8,6 +8,7 @@ from smoothgap.tuples import (
     SearchResult,
     _Positions,
     _search_fixed_diameter,
+    construct_consecutive_prime_tuple,
     diameter,
     is_admissible,
     is_difference_smooth,
@@ -98,7 +99,7 @@ def test_fixed_diameter_matches_exhaustive_walk(k, smooth):
     # the kernel, with its cut of branches whose open positions cannot fill
     # their slots, against every middle for the endpoints 0 and d
     y = largest_prime_leq(k) if smooth else None
-    table = _Positions(_primes_upto(k), 256, y)
+    table = _Positions(k, 256, y)
     for d in range(2 * (k - 1), 37):
         middles, _ = _search_fixed_diameter(k, d, table, 0, 10**9)
         expected = brute_fixed_diameter(k, d, y)
@@ -107,15 +108,45 @@ def test_fixed_diameter_matches_exhaustive_walk(k, smooth):
 
 def test_position_table_holds_one_class_mask_per_prime():
     # the table a k = 200 search builds at its first diameter, 398: with a
-    # position mask per residue class it held 3.5 MB, with one per prime 1.0 MB
+    # position mask per residue class it held 3.5 MB, with one per prime and
+    # a class word per position 1.0 MB
     tracemalloc.start()
     try:
-        table = _Positions(_primes_upto(200), 1592, None)
+        table = _Positions(200, 1592, None)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table.clear) == 1593
-    assert held < 2 * 10**6
+    assert len(table) == 0  # no class word is made before it is read
+    assert held < 2 * 10**5
+
+
+@pytest.mark.parametrize("k", [30, 50])
+def test_position_words_match_their_eager_definition(k):
+    # table[v], made on first read, against every class but v's built in full
+    table = _Positions(k, 256, None)
+    ps = _primes_upto(k)
+    offsets = [sum(q + 1 for q in ps[:i]) for i in range(len(ps))]
+    fields = sum(((1 << p) - 1) << o for p, o in zip(ps, offsets))
+    own = [sum(1 << (o + v % p) for p, o in zip(ps, offsets)) for v in range(257)]
+    for v in range(257):
+        assert table[v] == fields & ~own[v], v
+    assert len(table) == 257
+
+
+def test_wide_search_with_one_node_builds_no_table_per_position():
+    # k = 1000 at budget 1: one diameter, 1998, searched for a single node.
+    # A class word for each of the 7,993 positions peaked at 164 MB.
+    tracemalloc.start()
+    try:
+        result = search_min_diameter_admissible(1000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.tuple == construct_consecutive_prime_tuple(1000)
+    assert result.diameter == diameter(result.tuple)
+    assert result.budget_exhausted and not result.proven_minimal
+    assert result.proven_lower_bound == 1998
+    assert peak < 20 * 10**6
 
 
 def test_proven_lower_bound_never_falls_as_the_budget_grows():
