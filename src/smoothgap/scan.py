@@ -20,18 +20,16 @@ from .tuples import IntegerTuple
 
 MAX_WITNESSES = 100
 
-# Peak RSS growth of one numpy rfft/irfft autocorrelation, in bytes per
-# transform point: the float input, the spectrum, the output and pocketfft's
-# scratch buffers (tracemalloc sees only half, as the scratch bypasses
-# numpy's allocator).
-FFT_BYTES_PER_POINT = 32
-# Largest tolerated distance of an autocorrelation value from an integer.
+# Peak RSS growth of the wheel's two transforms and two inverses, in bytes
+# per transform point, by ru_maxrss (tracemalloc misses pocketfft's scratch):
+# 40.0 at 1.7e6 to 5e7 points with numpy 2 on x86-64 (43 at 1.35e5).
+FFT_BYTES_PER_POINT = 40
+# Largest tolerated distance of a correlation value from an integer.
 FFT_ROUNDOFF_GUARD = 0.25
-# Time of one point-times-log2-length step of the FFT autocorrelation over
-# one table byte of the per-gap AND-and-count, on one thread, measured with
-# numpy 2 on x86-64 at x = 2^24 and 10^8 (about 3.9 ns against 0.19 ns;
-# the median of 10 ratios, which ranged from 17 to 30).
-FFT_COST_PER_BYTE = 21
+# Time of one point-times-log2-length step of the wheel's four transforms over
+# one table byte of the per-gap AND-and-count, one thread, numpy 2, x86-64, at
+# x = 2^24 and 10^8: about 8 ns against 0.15 ns, the median of 16 ratios (27-65).
+FFT_COST_PER_BYTE = 52
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -167,37 +165,55 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
 
 
 def _fft_length(n: int) -> int:
-    """Power-of-two transform length for the linear autocorrelation of n
-    points: at least 2n - 1, so no lag wraps round. 0 when n < 2, where
-    there is no nonzero lag."""
-    return 1 << (2 * n - 2).bit_length() if n >= 2 else 0
+    """Least even 2^a 3^b 5^c >= 2n - 1, over each odd part 3^b 5^c times
+    the least 2^a >= 2 that reaches it: a length pocketfft transforms fast,
+    at which no lag of a linear correlation of n points wraps round. 0 when n < 2."""
+    need = 2 * n - 1
+    odds = (3**b * 5**c for b in range(need.bit_length()) for c in range(need.bit_length()))
+    return min(odd << max(1, (-(-need // odd) - 1).bit_length()) for odd in odds) if n > 1 else 0
 
 
-def _autocorrelation_sum(indicator: np.ndarray, lags: np.ndarray) -> int:
-    """Sum over the given lags j >= 1 of #{t : indicator[t] and indicator[t + j]},
-    exactly, from one FFT autocorrelation. Lags past the indicator add 0."""
-    lags = lags[lags < len(indicator)]
-    if not len(lags):
+def _wheel_sum(u: np.ndarray, v: np.ndarray, auto, ahead, behind) -> int:
+    """Sum of the autocorrelations of u and of v at the lags auto and of the
+    correlation #{t : u[t] and v[t + j]} at j in ahead and j = -k for k in
+    behind, exactly. len(v) <= len(u); lags of len(u) or more add 0."""
+    size = _fft_length(len(u))
+    if not size:
         return 0
-    size = _fft_length(len(indicator))
-    spectrum = np.fft.rfft(indicator, size)
-    np.multiply(spectrum, spectrum.conj(), out=spectrum)
-    values = np.fft.irfft(spectrum, size)[lags]
+    auto, ahead, behind = (lags[lags < len(u)] for lags in (auto, ahead, behind))
+    spectrum = np.fft.rfft(u, size)
+    power = spectrum.real**2  # |U|^2 + |V|^2, real: no complex temporaries
+    power += spectrum.imag**2
+    cross = np.fft.rfft(v, size)
+    power += cross.real**2
+    power += cross.imag**2
+    cross *= np.conjugate(spectrum, out=spectrum)  # conj(U) V, in place
+    del spectrum
+    values = np.fft.irfft(cross, size)
+    del cross
+    values = np.concatenate((values[ahead], values[size - behind]))  # frees the inverse
+    values = np.concatenate((values, np.fft.irfft(power, size)[auto]))
     counts = np.rint(values)
-    roundoff = float(np.max(np.abs(values - counts)))
+    roundoff = float(np.max(np.abs(values - counts), initial=0.0))
     if roundoff >= FFT_ROUNDOFF_GUARD:
-        raise FloatingPointError(
-            f"autocorrelation of length {size} is {roundoff} away from an integer"
-        )
+        raise FloatingPointError(f"correlation of length {size} is {roundoff} away from an integer")
     return int(counts.astype(np.int64).sum())
 
 
 def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint c over the even gaps, from one FFT
-    autocorrelation of the prefix of the odd table that holds the odd
-    integers up to c: the even gap 2j is lag j."""
-    lags = gaps // 2
-    return [_autocorrelation_sum(table[: (c + 1) // 2], lags) for c in checkpoints]
+    """Pair counts at each checkpoint c over the even gaps: q = 3 by one
+    lookup, and a prime q >= 5, 6m + 1 or 6m + 5, from u and v, the flags
+    3m and 3m + 2 of the odd table up to c. A gap s = 0 mod 6 is lag s / 6 of
+    both autocorrelations; the correlation of u with v holds s = 4 mod 6
+    (q = 1, p = 5) at lag (s - 4) / 6 and s = 2 (q = 5, p = 1) at -(s + 4) / 6."""
+    reach = gaps[gaps + 3 < 2 * len(table)]  # 3 + s within the table
+    threes = reach[table[(reach + 3) // 2]]  # the even gaps s with 3 + s prime
+    lags = (gaps[gaps % 6 == 0] // 6, gaps[gaps % 6 == 4] // 6, gaps[gaps % 6 == 2] // 6 + 1)
+    return [
+        _wheel_sum(table[: (c + 1) // 2 : 3], table[2 : (c + 1) // 2 : 3], *lags)
+        + int(np.searchsorted(threes, c - 3, side="right"))
+        for c in checkpoints
+    ]
 
 
 def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
@@ -223,10 +239,9 @@ def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
     """Whether the FFT kernel fits mem_budget() beside the odd table and its
     estimated time is below the per-gap kernel's over the same even gaps,
     which reads (x + 1 - s) / 2 table bytes per gap s."""
-    table_bytes = (x + 1) // 2
-    if table_bytes + FFT_BYTES_PER_POINT * _fft_length(table_bytes) > mem_budget():
+    sizes = [_fft_length(((c + 1) // 2 + 2) // 3) for c in checkpoints]  # len(u) at c
+    if (x + 1) // 2 + FFT_BYTES_PER_POINT * sizes[-1] > mem_budget():
         return False
-    sizes = [_fft_length((c + 1) // 2) for c in checkpoints]
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
     return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
 
@@ -247,13 +262,13 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     to one of two exact kernels, chosen per request by estimated time within
     the memory budget.
 
-    _fft_pair_counts: one transform of length _fft_length((c + 1) // 2), in
-    [c, 2c), per checkpoint c, O(c log c) each. That totals about 1.1 times
-    the largest transform for checkpoints a factor of 10 apart, and up to
-    len(checkpoints) times it when many checkpoints sit near x. It needs
-    FFT_BYTES_PER_POINT bytes per point of the largest transform besides
-    the table, so under the default 4 GB budget it runs only for
-    x <= 2^26 = 67,108,864.
+    _fft_pair_counts: per checkpoint c, q = 3 by lookup and the primes
+    6m +- 1 from two transforms and two inverses of about c / 3 points (the
+    _fft_length of a class's c / 6 flags), O(c log c). That totals about 1.1
+    times the largest for checkpoints a factor of 10 apart, and up to
+    len(checkpoints) times it when many sit near x. It needs
+    FFT_BYTES_PER_POINT bytes per point of the largest besides the table, so
+    under the default 4 GB budget it runs only for x <= 288,000,000.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
     all, on one worker thread per CPU the process may run on, in no memory

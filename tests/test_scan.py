@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from smoothgap.scan import (
     MAX_WITNESSES,
     ScanRequest,
     _fft_is_cheaper,
+    _fft_length,
     _fft_pair_counts,
     _gap_values,
     _per_gap_pair_counts,
@@ -112,11 +114,44 @@ def test_pairs_match_oracle(y, gap_one):
     assert report.witnesses == tuple(brute_pairs(2000, y, gap_one)[:MAX_WITNESSES])
 
 
-def test_fft_cliff_is_2_to_the_26_under_the_default_budget(monkeypatch):
+def test_fft_length_is_the_least_even_5_smooth_length():
+    def five_smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    assert [_fft_length(n) for n in (0, 1)] == [0, 0]
+    for n in range(2, 2000):
+        size = 2 * n - 1
+        while size % 2 or not five_smooth(size):
+            size += 1
+        assert _fft_length(n) == size
+    # 10^6 and 10^8: u holds the flags of 6m + 1 up to x, about x / 6 of them
+    assert _fft_length(166_667) == 337_500 == 2**2 * 3**3 * 5**5
+    assert _fft_length(16_666_667) == 2**25
+
+
+def test_fft_cliff_is_288_million_under_the_default_budget(monkeypatch):
+    # at x = 2.88e8 u holds 48,000,000 flags, and 2^11 * 3 * 5^6 = 96,000,000
+    # points is the least even 5-smooth length >= 2 * 48,000,000 - 1; one
+    # integer more needs a longer transform, over the 4e9 bytes
     monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
+    x = 288_000_000
+    assert _fft_length(48_000_000) == 96_000_000 == 2**11 * 3 * 5**6
+    assert (x + 1) // 2 + FFT_BYTES_PER_POINT * 96_000_000 <= 4 * 10**9
+    assert (x + 2) // 2 + FFT_BYTES_PER_POINT * _fft_length(48_000_001) > 4 * 10**9
     gaps = np.arange(2, 20000, 2)
-    assert _fft_is_cheaper(2**26, gaps, (2**26,))
-    assert not _fft_is_cheaper(2**26 + 1, gaps, (2**26 + 1,))
+    assert _fft_is_cheaper(x, gaps, (x,))
+    assert not _fft_is_cheaper(x + 1, gaps, (x + 1,))
+
+
+@pytest.mark.parametrize("x, y, fft", [(10**8, 47, True), (2 * 10**8, 47, True), (10**8, 3, False)])
+def test_kernel_choice_at_1e8_by_arithmetic(x, y, fft, monkeypatch):
+    # by the cost model alone: nothing is sieved or transformed
+    monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
+    gaps = _gap_values(ScanRequest(x, "pairs", y=y), x - 2)
+    assert _fft_is_cheaper(x, gaps[gaps % 2 == 0], (x,)) == fft
 
 
 def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
@@ -211,12 +246,50 @@ def test_pairs_all_gaps_smooth_is_binomial_at_1e7():
     assert report.records[0].count == pi * (pi - 1) // 2
 
 
+@pytest.mark.slow
+def test_pairs_fft_matches_per_gap_kernel_at_1e8(monkeypatch):
+    # a transform of 2^25 points at 10^8 against the exact per-gap kernel,
+    # with checkpoints in each class 1, 5 and 4 mod 6
+    req = ScanRequest(10**8, "pairs", y=3, checkpoints=(10**6 + 1, 3 * 10**7 + 5, 10**8))
+    assert _counts_by_kernel(monkeypatch, req, fft=True) == _counts_by_kernel(
+        monkeypatch, req, fft=False
+    )
+
+
 def test_pairs_roundoff_guard(monkeypatch):
+    # y = 2 has no gap = 0 mod 6, so its gaps read cross-correlation lags
+    # only; the multiples of 6 read the autocorrelations only
+    cross = _gap_values(ScanRequest(1000, "pairs", y=2), 998)[1:]  # 2, 4, ..., 512
+    assert len(cross) == 9 and not (cross % 6 == 0).any()
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
-    req = ScanRequest(1000, "pairs", y=5)
-    with pytest.raises(FloatingPointError):
-        _fft_pair_counts(prime_flags(1000), _gap_values(req, 998), (1000,))
+    for gaps in (cross, np.array([6, 12, 18, 36, 96])):
+        with pytest.raises(FloatingPointError):
+            _fft_pair_counts(prime_flags(1000), gaps, (1000,))
+
+
+def test_pairs_wheel_classes_match_oracle_to_150(monkeypatch):
+    # every x <= 150 with checkpoints at each residue mod 6 below it: the
+    # two wheel classes, the cross lags of both signs and q = 3 at their edges
+    oracle = functools.cache(brute_pair_count)
+    for x in range(1, 151):
+        checkpoints = tuple(range(max(1, x - 5), x + 1))
+        for y in (2, 3, 5, 47):
+            for gap_one in (True, False):
+                req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one)
+                expected = [oracle(c, y, gap_one) for c in checkpoints]
+                assert _counts_by_kernel(monkeypatch, req, fft=True) == expected, (x, y, gap_one)
+
+
+def test_pairs_with_q_3_are_a_lookup(monkeypatch):
+    # with the wheel's correlations at 0, the even-gap pairs left are (3, 3 + s):
+    # (3, 5), (3, 7) and (3, 11) for the 2-smooth gaps 2, 4 and 8
+    table = prime_flags(11)
+    gaps = np.array([2, 4, 8])
+    checkpoints = (4, 5, 7, 10, 11)
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 5]  # and (5, 7), (7, 11)
+    monkeypatch.setattr("smoothgap.scan._wheel_sum", lambda *args: 0)
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 2, 2, 3]
 
 
 def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
@@ -229,7 +302,9 @@ def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
         "smoothgap.scan._fft_pair_counts", lambda *a: calls.append(a) or [0, 0]
     )
     table = (x + 1) // 2  # the odd integers up to x
-    need = table + FFT_BYTES_PER_POINT * 2**17  # transform length 2^17 >= 2 * table
+    # u holds the 16,667 flags of 6m + 1 <= x; 33,750 = 2 * 3^3 * 5^4 is the
+    # least even 5-smooth transform length >= 2 * 16,667 - 1
+    need = table + FFT_BYTES_PER_POINT * 33_750
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need))
     count_smooth_gap_pairs(req)
     assert len(calls) == 1
