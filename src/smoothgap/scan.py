@@ -14,7 +14,7 @@ from . import _sieve
 from ._sieve import SCAN_LIMIT, _window_primes, prime_flags, prime_windows
 from .constants import hl_predictions
 from .errors import CapacityError
-from .primes import is_prime, mem_budget
+from .primes import check_budget, is_prime, mem_budget
 from .smoothness import smooth_numbers_up_to
 from .tuples import IntegerTuple
 
@@ -113,8 +113,11 @@ class ScanReport:
 
 def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
     """The y-smooth gaps in [1, limit] ([2, limit] without gap one), ascending."""
-    gaps = np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)
-    return gaps if req.include_gap_one else gaps[1:]
+    first = 1 if req.include_gap_one else 2
+    if req.y < limit:
+        return np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)[first - 1 :]
+    check_budget(8 * (limit + 1 - first), f"the smooth gaps to {limit}")  # every gap: no list
+    return np.arange(first, limit + 1, dtype=np.int64)
 
 
 def _translate_counts(windows, shifts, ends, m: int | None, first: int):

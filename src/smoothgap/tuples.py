@@ -177,6 +177,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _word(bits, width: int) -> int:
+    """The int with the given bits set, none above bit width, in time linear in width."""
+    buf = bytearray(width // 8 + 1)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _Positions(dict):
     """Bit tables over the positions 0..n for the primes up to k, and y if given.
 
@@ -188,30 +196,20 @@ class _Positions(dict):
 
     def __init__(self, k: int, n: int, y: int | None):
         self.n = n
-        self.fields = self.guards = self.lows = 0
-        self.classes = {}  # guard bit -> (field, field offset, positions 0, p, 2p, ...)
-        self.offsets = []  # (p, field offset)
-        offset = 0
+        self.classes = {}  # guard bit index -> (p, field offset, positions 0, p, 2p, ...)
+        self.width = 0  # of a coverage word
         for p in _primes_upto(k):
-            field = ((1 << p) - 1) << offset
-            guard = 1 << (offset + p)
-            self.fields |= field
-            self.guards |= guard
-            self.lows |= 1 << offset
-            multiples = int("1".rjust(p, "0") * (n // p + 1), 2)
-            self.classes[guard] = (field, offset, multiples)
-            self.offsets.append((p, offset))
-            offset += p + 1
+            self.classes[self.width + p] = (p, self.width, int("1".rjust(p, "0") * (n // p + 1), 2))
+            self.width += p + 1
+        self.lows = _word([o for _, o, _ in self.classes.values()], self.width)
+        self.guards = _word(self.classes, self.width)
+        self.fields = self.guards - self.lows
         # smooth: the positions s with s y-smooth, 0 included; all without y
-        self.smooth = (2 << n) - 1
-        if y is not None:
-            digits = ["0"] * (n + 1)
-            for s in [0] + smooth_numbers_up_to(y, n):
-                digits[n - s] = "1"
-            self.smooth = int("".join(digits), 2)
+        self.smooth = (2 << n) - 1 if y is None else _word([0] + smooth_numbers_up_to(y, n), n)
 
     def __missing__(self, v: int) -> int:
-        return self.setdefault(v, self.fields ^ sum(1 << (o + v % p) for p, o in self.offsets))
+        own = _word([o + v % p for p, o, _ in self.classes.values()], self.width)
+        return self.setdefault(v, self.fields ^ own)
 
 
 def _search_fixed_diameter(k, d, table, nodes, budget):
@@ -224,11 +222,9 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
     """
     m = k - 2  # free slots between the endpoints
     free = table[0] & table[d]
-    guards, lows = table.guards, table.lows
-    if ((free | guards) - lows) & guards != guards:
-        return None, nodes  # the endpoints cover every class of some prime
-    smooth = table.smooth
-    if not (smooth >> d) & 1:
+    guards, lows, smooth = table.guards, table.lows, table.smooth
+    # the endpoints cover every class of some prime, or d is not permitted
+    if ((free | guards) - lows) & guards != guards or not (smooth >> d) & 1:
         return None, nodes
     # the middles 1..d - 1 with v - 0 and d - v smooth
     open_ = smooth & int(format(smooth & ((2 << d) - 1), f"0{d + 1}b")[::-1], 2) & ((1 << d) - 2)
@@ -255,8 +251,9 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
         while new:
             guard = new & -new
             new ^= guard
-            field, offset, multiples = classes[guard]
-            open_ &= ~(multiples << ((free & field).bit_length() - 1 - offset))
+            p, offset, multiples = classes[guard.bit_length() - 1]
+            r = ((free >> offset) & ((1 << p) - 1)).bit_length() - 1  # p's last free class
+            open_ &= ~(multiples << r)
         hi = top + depth  # leave room for the remaining slots
         run = open_ >> low
         # Every later element lies in [low, d) and stays in open_, which only

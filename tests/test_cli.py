@@ -333,6 +333,20 @@ def test_scan_capacity_exit(capsys, monkeypatch):
     assert err
 
 
+def test_scan_pairs_all_smooth_gaps_over_budget_exit_3(capsys, monkeypatch):
+    # y >= x: every gap is smooth, so the gaps are a range, charged at 8 bytes
+    # each; 10^6 bytes fit the 10^5-byte odd table, not the 1.6 MB of gaps
+    def enumerate_gaps(*args):
+        raise AssertionError("all-smooth gaps listed one by one")
+
+    monkeypatch.setattr("smoothgap.scan.smooth_numbers_up_to", enumerate_gaps)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**6))
+    code, out, err = invoke(capsys, "scan", "pairs", "200000", "--y", "200000")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("capacity: the smooth gaps to 199998 need 1599984 bytes")
+
+
 def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
     args = ("scan", "pairs", "100000", "--y", "47", "--checkpoints", "1000,100000")
     code, reference, _ = invoke(capsys, *args)

@@ -120,7 +120,21 @@ def test_position_table_holds_one_class_mask_per_prime():
     assert held < 2 * 10**5
 
 
-@pytest.mark.parametrize("k", [30, 50])
+def test_position_table_is_linear_in_its_primes():
+    # the table a k = 3000 search builds at its first diameter, 5998: with a
+    # field mask and a guard bit per prime, each as wide as the 594,253-bit
+    # coverage word, it held 23.3 MB
+    tracemalloc.start()
+    try:
+        table = _Positions(3000, 23992, None)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.classes) == 430  # pi(3000)
+    assert held < 3 * 10**6
+
+
+@pytest.mark.parametrize("k", [2, 3, 30, 50])
 def test_position_words_match_their_eager_definition(k):
     # table[v], made on first read, against every class but v's built in full
     table = _Positions(k, 256, None)
