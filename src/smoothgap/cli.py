@@ -12,8 +12,6 @@ without numpy.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -59,7 +57,7 @@ def parse_tuple_line(text: str, line_no: int = 1) -> tuples.IntegerTuple:
             raise TupleParseError(f"bad integer {part.strip()!r}", line_no, bad_col)
         col += len(part) + 1
     try:
-        return tuples.IntegerTuple(tuple(values))
+        return tuples.IntegerTuple(values)
     except ValueError as e:
         raise TupleParseError(str(e), line_no, 1)
 
@@ -98,18 +96,23 @@ def render_tuple(H: tuples.IntegerTuple) -> str:
 
 
 def _plain(value):
-    """A result as JSON-ready values: a dataclass becomes its fields by name,
-    an IntegerTuple, tuple or list a list, and a float is rounded by fmt_float."""
-    if isinstance(value, (tuples.IntegerTuple, tuple, list)):
+    """A result as JSON-ready values: a NamedTuple record becomes its fields
+    by name, an IntegerTuple, tuple or list a list, and a float is rounded
+    by fmt_float."""
+    if isinstance(value, tuples.IntegerTuple):
+        return list(value)  # ints: no call per element
+    if isinstance(value, (tuple, list)):
+        if hasattr(value, "_asdict"):
+            return {name: _plain(v) for name, v in value._asdict().items()}
         return [_plain(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return fmt_float(value) if isinstance(value, float) else value
 
 
 def _write_csv(rows: list[dict]) -> None:
     """Rows under a header of the first row's keys: None as an empty cell,
     a float to 12 significant digits, anything else by str."""
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(rows[0])
     writer.writerows(

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._sieve import _window_primes, prime_windows
 from .errors import CapacityError
@@ -14,11 +14,8 @@ from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
 DEFAULT_PRIME_CUTOFF = 10**6
 
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
 
-
-@dataclass(frozen=True)
-class SingularSeriesEstimate:
+class SingularSeriesEstimate(NamedTuple):
     value: float
     k: int
     prime_cutoff: int
@@ -73,6 +70,14 @@ def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> Singula
     return SingularSeriesEstimate(value, k, prime_cutoff, tail, True)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss-Legendre nodes and weights, made on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(20)
+
+
 def log_power_integral(k: int, x: float) -> float:
     """int_2^x dt / (log t)^k for x > 2.
 
@@ -84,8 +89,9 @@ def log_power_integral(k: int, x: float) -> float:
     width = math.log1p((x - 2.0) / 2.0)  # log x - log 2, without cancellation
     edges = np.append(np.arange(0.0, width, 1.0), width)
     half = np.diff(edges)[:, None] / 2
-    u = math.log(2.0) + edges[:-1, None] + half * (_GL_NODES + 1)
-    return float(np.sum(half * _GL_WEIGHTS * np.exp(u) * u ** -k))
+    nodes, weights = _gauss_legendre()
+    u = math.log(2.0) + edges[:-1, None] + half * (nodes + 1)
+    return float(np.sum(half * weights * np.exp(u) * u ** -k))
 
 
 def hl_predictions(H: IntegerTuple, xs) -> list[tuple[float, float]]:

@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _sieve
 from ._sieve import SCAN_LIMIT, _window_primes, prime_flags, prime_windows
-from .constants import hl_predictions
 from .errors import CapacityError
 from .primes import check_budget, is_prime, mem_budget
 from .smoothness import smooth_numbers_up_to
@@ -37,8 +35,7 @@ MODE_TRANSLATES = "tuple-translates"
 _PAIR_MODES = (MODE_PAIRS, MODE_CONSECUTIVE)
 
 
-@dataclass(frozen=True)
-class ScanRequest:
+class _ScanFields(NamedTuple):
     x_max: int
     mode: str
     y: int | None = None  # smoothness bound, pair modes only
@@ -47,7 +44,15 @@ class ScanRequest:
     include_gap_one: bool = True
     min_prime_count: int | None = None  # optional at-least-m census, translate mode
 
-    def __post_init__(self):
+
+class ScanRequest(_ScanFields):
+    """A scan's parameters, checked when made: which fields its mode takes,
+    and ascending checkpoints ending at x_max (x_max alone by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x_max < 1:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
         if self.x_max > SCAN_LIMIT:
@@ -91,11 +96,14 @@ class ScanRequest:
             raise ValueError(f"checkpoints must be ascending: {cps}")
         if cps[-1] != self.x_max:
             raise ValueError("last checkpoint must equal x_max")
-        object.__setattr__(self, "checkpoints", tuple(int(c) for c in cps))
+        return _ScanFields._replace(self, checkpoints=tuple(int(c) for c in cps))
+
+    def _replace(self, **changes) -> ScanRequest:
+        """A copy with the given fields changed, checked as a new request is."""
+        return ScanRequest(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     checkpoint: int
     count: int
     hl_ratio_prediction: float | None = None
@@ -104,11 +112,10 @@ class CheckpointRecord:
     at_least_m_count: int | None = None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     request: ScanRequest
     records: tuple[CheckpointRecord, ...]
-    witnesses: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    witnesses: tuple[tuple[int, ...], ...] = ()
 
 
 def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
@@ -233,6 +240,8 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
         ends = [(c - s + 1) // 2 for c in checkpoints]
         return _translate_counts(windows, (0, r), ends, None, 0)[0]
 
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         partials = list(pool.map(count_gap, gaps))
     return [int(n) for n in sum(partials, np.zeros(len(checkpoints), dtype=np.int64))]
@@ -349,18 +358,20 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     witnesses turn flag indices into integers by // 2 and 2j + 1."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
+    from .constants import hl_predictions  # the pair modes never predict
+
     H = req.tuple.canonical()
     k, m = len(H), req.min_prime_count
     need = k if m is None else m
     small = sum(c <= 2 for c in req.checkpoints)  # no prediction below x = 3
     predictions = [(None, None)] * small + hl_predictions(H, req.checkpoints[small:])
-    direct = [(n, sum(is_prime(n + h) for h in H.elements)) for n in (1, 2) if n < req.x_max]
+    direct = [(n, sum(is_prime(n + h) for h in H)) for n in (1, 2) if n < req.x_max]
     counts = [sum(t == k for n, t in direct if n < c) for c in req.checkpoints]
     at_least = [sum(t >= need for n, t in direct if n < c) for c in req.checkpoints]
     hits = [n for n, t in direct if t == k]
     classes = (
-        (0, [h // 2 for h in H.elements if h % 2 == 0]),  # odd n
-        (1, [(h + 1) // 2 for h in H.elements if h % 2]),  # even n, indexed as n - 1
+        (0, [h // 2 for h in H if h % 2 == 0]),  # odd n
+        (1, [(h + 1) // 2 for h in H if h % 2]),  # even n, indexed as n - 1
     )
     for offset, shifts in classes:
         if len(shifts) < need:

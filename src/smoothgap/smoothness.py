@@ -7,7 +7,7 @@ An integer is y-smooth when its largest prime factor is at most y;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .primes import _primes_upto, is_prime, mem_budget
@@ -22,8 +22,7 @@ SMOOTH_BYTES_PER_ELEMENT = 48
 PRIME_TEST_FROM = 1 << 16
 
 
-@dataclass(frozen=True)
-class SmoothnessCheck:
+class SmoothnessCheck(NamedTuple):
     smooth: bool
     cofactor: int | None  # surviving rough part when not smooth
 

@@ -4,7 +4,7 @@ minimal-diameter searches, and the k_m / y_m table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
@@ -15,34 +15,36 @@ _KM_UNCONDITIONAL = ((2, 50), (3, 35265), (4, 1624545), (5, 73807570), (6, 33403
 _KM_CONDITIONAL = ((2, 5),)
 
 
-@dataclass(frozen=True)
-class IntegerTuple:
-    """Strictly increasing tuple of integers, length >= 1."""
+class IntegerTuple(tuple):
+    """Strictly increasing tuple of integers, length >= 1: a tuple, so it
+    equals and hashes by its elements, and is immutable."""
 
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.elements) < 1:
+    def __new__(cls, elements):
+        self = super().__new__(cls, elements)
+        if not self:
             raise ValueError("tuple must have at least one element")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError(f"elements must be strictly increasing: {self.elements}")
+        if any(a >= b for a, b in zip(self, self[1:])):
+            raise ValueError(f"elements must be strictly increasing: {tuple(self)}")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    def __repr__(self) -> str:
+        return f"IntegerTuple(elements={tuple(self)})"
 
-    def __iter__(self):
-        return iter(self.elements)
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def translate(self, t: int) -> "IntegerTuple":
-        return IntegerTuple(tuple(h + t for h in self.elements))
+        return IntegerTuple(h + t for h in self)
 
     def canonical(self) -> "IntegerTuple":
         """Translate so the least element is 0."""
-        return self.translate(-self.elements[0])
+        return self.translate(-self[0])
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     obstruction: int | None  # smallest prime covering all residue classes
 
@@ -50,8 +52,7 @@ class AdmissibilityReport:
         return self.admissible
 
 
-@dataclass(frozen=True)
-class DifferenceSmoothness:
+class DifferenceSmoothness(NamedTuple):
     smooth: bool
     witness: tuple[int, int] | None  # first failing index pair (i, j), i < j
     cofactor: int | None  # rough part of the failing difference
@@ -60,16 +61,14 @@ class DifferenceSmoothness:
         return self.smooth
 
 
-@dataclass(frozen=True)
-class KmEntry:
+class KmEntry(NamedTuple):
     m: int
     k_m: int
     y_m: int
     conditional: bool
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     tuple: IntegerTuple | None
     diameter: int | None
     nodes_explored: int
@@ -98,7 +97,7 @@ def is_admissible(H: IntegerTuple) -> AdmissibilityReport:
 
 
 def diameter(H: IntegerTuple) -> int:
-    return H.elements[-1] - H.elements[0]
+    return H[-1] - H[0]
 
 
 def is_difference_smooth(H: IntegerTuple, y: int) -> DifferenceSmoothness:
@@ -107,10 +106,9 @@ def is_difference_smooth(H: IntegerTuple, y: int) -> DifferenceSmoothness:
     Vacuously true for k = 1. On failure reports the lexicographically
     first failing index pair and the rough cofactor of that difference.
     """
-    hs = H.elements
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            check = is_smooth(hs[j] - hs[i], y)
+    for i in range(len(H)):
+        for j in range(i + 1, len(H)):
+            check = is_smooth(H[j] - H[i], y)
             if not check:
                 return DifferenceSmoothness(False, (i, j), check.cofactor)
     return DifferenceSmoothness(True, None, None)
@@ -126,7 +124,7 @@ def construct_primorial_tuple(k: int) -> IntegerTuple:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     w = primorial(k)
-    return IntegerTuple(tuple(i * w for i in range(k)))
+    return IntegerTuple(i * w for i in range(k))
 
 
 def construct_consecutive_prime_tuple(k: int) -> IntegerTuple:
@@ -143,7 +141,7 @@ def construct_consecutive_prime_tuple(k: int) -> IntegerTuple:
         if is_prime(n):
             primes.append(n)
         n += 1
-    return IntegerTuple(tuple(p - primes[0] for p in primes))
+    return IntegerTuple(p - primes[0] for p in primes)
 
 
 def find_smoothness_witness(H: IntegerTuple) -> tuple[tuple[int, int], int]:
@@ -165,10 +163,9 @@ def _collision(H: IntegerTuple) -> tuple[tuple[int, int], int]:
     """find_smoothness_witness for an H already known admissible, k >= 2."""
     k = len(H)
     z = largest_prime_leq(k)
-    hs = H.elements
     for i in range(k):
         for j in range(i + 1, k):
-            if (hs[j] - hs[i]) % z == 0:
+            if (H[j] - H[i]) % z == 0:
                 return (i, j), z
     raise AssertionError("unreachable: admissible tuple must collide mod z_k")
 
@@ -300,7 +297,7 @@ def _deepen(k: int, y: int | None, incumbent: IntegerTuple, budget: int) -> Sear
                 table = _Positions(k, max(4 * d, 256), y)
             middles, nodes = _search_fixed_diameter(k, d, table, nodes, budget)
             if middles is not None:
-                H = IntegerTuple(tuple([0] + middles + [d]))
+                H = IntegerTuple([0] + middles + [d])
                 return SearchResult(
                     H, d, nodes, proven_minimal=True, budget_exhausted=False, proven_lower_bound=d
                 )

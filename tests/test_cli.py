@@ -513,9 +513,8 @@ def test_json_byte_stable_across_runs(capsys):
     assert first == second
 
 
-# Exact stdout of each report type, JSON and CSV, fixed when the reports were
-# first encoded from the result dataclasses' fields: a change to any report's
-# bytes shows here.
+# Exact stdout of each report type, JSON and CSV, as encoded from the result
+# records' fields: a change to any report's bytes shows here.
 GOLDEN_REPORTS = [
     (
         "scan pairs 12 --y 3 --checkpoints 5,12",
@@ -664,15 +663,29 @@ def test_malformed_mem_budget_is_a_usage_error(capsys, monkeypatch, budget):
     assert "SMOOTHGAP_MEM_BUDGET" in err
 
 
+def _fresh_run_matches(capsys, script: str, argv: str) -> None:
+    """Run script with argv in a fresh interpreter: it must exit and print
+    as run(argv) does in process (exit 0 and nothing for no argv)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    code, out, _ = invoke(capsys, *argv.split()) if argv else (EXIT_OK, "", "")
+    assert (done.returncode, done.stdout) == (code, out.encode()), done.stderr
+
+
 # Runs the CLI with numpy blocked, so that any import of it raises, and
-# checks that no numpy module of the package was loaded.
+# checks that no numpy module of the package was loaded, nor dataclasses.
 _WITHOUT_NUMPY = """
 import sys
+before = set(sys.modules)
 sys.modules["numpy"] = None
 from smoothgap.cli import build_parser, run
 build_parser()
 code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0
 assert not {"smoothgap._sieve", "smoothgap.scan", "smoothgap.constants"} & sys.modules.keys()
+assert "dataclasses" not in sys.modules.keys() - before
 sys.exit(code)
 """
 
@@ -689,13 +702,18 @@ sys.exit(code)
     ],
 )
 def test_tuple_commands_run_without_numpy(capsys, argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, *argv.split()],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    _fresh_run_matches(capsys, _WITHOUT_NUMPY, argv)
+
+
+def test_scan_pairs_does_not_load_constants(capsys):
+    script = (
+        "import sys\n"
+        "from smoothgap.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "assert 'smoothgap.constants' not in sys.modules\n"
+        "sys.exit(code)\n"
     )
-    code, out, _ = invoke(capsys, *argv.split()) if argv else (EXIT_OK, "", "")
-    assert (done.returncode, done.stdout) == (code, out.encode()), done.stderr
+    _fresh_run_matches(capsys, script, "scan pairs 100 --y 3")
 
 
 def test_module_entry_point():

@@ -82,6 +82,20 @@ def test_request_rejects_ignored_fields():
         )
 
 
+def test_scan_records_are_immutable():
+    req = ScanRequest(10, "pairs", y=2, checkpoints=[np.int64(5), 10])
+    assert req.checkpoints == (5, 10) and all(type(c) is int for c in req.checkpoints)
+    report = run_scan(req)
+    for record, name in ((report, "records"), (report, "witnesses"), (req, "y")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        req.extra = 1
+    assert req._replace(y=3) == ScanRequest(10, "pairs", y=3, checkpoints=(5, 10))
+    with pytest.raises(ValueError):
+        req._replace(y=1)
+
+
 def test_pairs_hand_examples():
     assert run_scan(ScanRequest(10, "pairs", y=2)).records[0].count == 4
     assert (

@@ -14,7 +14,9 @@ from smoothgap.tuples import (
     is_admissible,
     is_difference_smooth,
     residue_coverage,
+    search_min_diameter_admissible,
 )
+from smoothgap.smoothness import is_smooth
 
 from tests.generators import random_admissible_elements
 from tests.oracles import brute_difference_smooth, brute_obstruction
@@ -27,6 +29,25 @@ def test_tuple_validation():
         IntegerTuple((0, 0))
     with pytest.raises(ValueError):
         IntegerTuple(())
+
+
+def test_records_are_immutable_values_whose_truth_is_their_verdict():
+    H = IntegerTuple((0, 2, 6))
+    assert H == IntegerTuple((0, 2, 6)) and hash(H) == hash(IntegerTuple((0, 2, 6)))
+    assert H != IntegerTuple((0, 4, 6))
+    assert IntegerTuple((0, 2, 6)) in {H} and IntegerTuple((0, 4, 6)) not in {H}
+    assert (len(H), list(H), H.elements) == (3, [0, 2, 6], (0, 2, 6))
+    result = search_min_diameter_admissible(3)
+    for record, name in ((H, "elements"), (result, "diameter"), (result, "tuple")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        H.extra = 1
+    # a NamedTuple is truthy when non-empty; each report's __bool__ is its verdict
+    assert not is_admissible(IntegerTuple((0, 2, 4))) and is_admissible(H)
+    assert not is_difference_smooth(IntegerTuple((0, 22)), 7)
+    assert is_difference_smooth(H, 3)
+    assert not is_smooth(22, 7) and is_smooth(21, 7)
 
 
 def test_canonical():
