@@ -96,11 +96,11 @@ class ScanRequest(_ScanFields):
             raise ValueError(f"checkpoints must be ascending: {cps}")
         if cps[-1] != self.x_max:
             raise ValueError("last checkpoint must equal x_max")
-        return _ScanFields._replace(self, checkpoints=tuple(int(c) for c in cps))
+        return super().__new__(cls, **{**self._asdict(), "checkpoints": tuple(int(c) for c in cps)})
 
-    def _replace(self, **changes) -> ScanRequest:
-        """A copy with the given fields changed, checked as a new request is."""
-        return ScanRequest(**{**self._asdict(), **changes})
+    @classmethod
+    def _make(cls, iterable) -> ScanRequest:
+        return cls(*iterable)  # NamedTuple's _replace calls _make, so it checks too
 
 
 class CheckpointRecord(NamedTuple):

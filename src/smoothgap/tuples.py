@@ -4,9 +4,10 @@ minimal-diameter searches, and the k_m / y_m table."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .primes import _primes_upto, is_prime, largest_prime_leq, primorial
+from .primes import _primes_upto, check_budget, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
 
 # Lowest known tuple lengths guaranteeing m primes among n + H, plus the
@@ -135,13 +136,9 @@ def construct_consecutive_prime_tuple(k: int) -> IntegerTuple:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    primes = []
-    n = k + 1
-    while len(primes) < k:
-        if is_prime(n):
-            primes.append(n)
-        n += 1
-    return IntegerTuple(p - primes[0] for p in primes)
+    n = 2 * k + 6  # >= pi(k) + k, and the n-th prime is below n(log n + log log n) (Rosser)
+    primes = [p for p in _primes_upto(int(n * (math.log(n) + math.log(math.log(n))))) if p > k]
+    return IntegerTuple(p - primes[0] for p in primes[:k])
 
 
 def find_smoothness_witness(H: IntegerTuple) -> tuple[tuple[int, int], int]:
@@ -193,19 +190,21 @@ class _Positions(dict):
 
     def __init__(self, k: int, n: int, y: int | None):
         self.n = n
-        self.classes = {}  # guard bit index -> (p, field offset, positions 0, p, 2p, ...)
+        self.classes = {}  # guard bit index -> (p, field offset)
+        self.multiples = {}  # p -> positions 0, p, 2p, ..., made on first read and kept
         self.width = 0  # of a coverage word
         for p in _primes_upto(k):
-            self.classes[self.width + p] = (p, self.width, int("1".rjust(p, "0") * (n // p + 1), 2))
+            self.classes[self.width + p] = (p, self.width)
             self.width += p + 1
-        self.lows = _word([o for _, o, _ in self.classes.values()], self.width)
+        check_budget(3 * (self.width // 8 + 1), f"coverage words of {self.width} bits")
+        self.lows = _word([o for _, o in self.classes.values()], self.width)
         self.guards = _word(self.classes, self.width)
         self.fields = self.guards - self.lows
         # smooth: the positions s with s y-smooth, 0 included; all without y
         self.smooth = (2 << n) - 1 if y is None else _word([0] + smooth_numbers_up_to(y, n), n)
 
     def __missing__(self, v: int) -> int:
-        own = _word([o + v % p for p, o, _ in self.classes.values()], self.width)
+        own = _word([o + v % p for p, o in self.classes.values()], self.width)
         return self.setdefault(v, self.fields ^ own)
 
 
@@ -227,7 +226,7 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
     open_ = smooth & int(format(smooth & ((2 << d) - 1), f"0{d + 1}b")[::-1], 2) & ((1 << d) - 2)
     if m == 0:
         return [], nodes
-    classes = table.classes
+    classes, multiples, n = table.classes, table.multiples, table.n
     top = d - m  # the last candidate at depth 0
     last = m - 1
 
@@ -248,9 +247,11 @@ def _search_fixed_diameter(k, d, table, nodes, budget):
         while new:
             guard = new & -new
             new ^= guard
-            p, offset, multiples = classes[guard.bit_length() - 1]
+            p, offset = classes[guard.bit_length() - 1]
             r = ((free >> offset) & ((1 << p) - 1)).bit_length() - 1  # p's last free class
-            open_ &= ~(multiples << r)
+            if p not in multiples:
+                multiples[p] = _word(range(0, n + 1, p), n)
+            open_ &= ~(multiples[p] << r)
         hi = top + depth  # leave room for the remaining slots
         run = open_ >> low
         # Every later element lies in [low, d) and stays in open_, which only

@@ -219,6 +219,16 @@ def test_search_budget_exit(capsys):
     assert payload["budget_exhausted"] is True
 
 
+def test_search_coverage_words_over_budget_exit_3(capsys, monkeypatch):
+    # k = 3000: the incumbent's sieve to 65,248 takes 32,624 bytes, the
+    # table's three 594,253-bit coverage words 222,846
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(5 * 10**4))
+    code, out, err = invoke(capsys, "search", "3000", "--budget", "1")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "capacity: coverage words of 594253 bits need 222846 bytes, over budget 50000\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("smooth", [(), ("--smooth", "11")])
 def test_search_rejects_budget_below_one(capsys, budget, smooth):

@@ -96,6 +96,14 @@ def test_scan_records_are_immutable():
         req._replace(y=1)
 
 
+def test_scan_request_made_from_a_row_is_checked():
+    with pytest.raises(ValueError):
+        ScanRequest._make((10, "pairs", 1, None, (7, 3), True, None))
+    row = (10, "pairs", 2, None, (5, 10), True, None)
+    assert ScanRequest._make(row) == ScanRequest(10, "pairs", y=2, checkpoints=(5, 10))
+    assert type(ScanRequest._make(row)) is ScanRequest
+
+
 def test_pairs_hand_examples():
     assert run_scan(ScanRequest(10, "pairs", y=2)).records[0].count == 4
     assert (

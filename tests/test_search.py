@@ -121,17 +121,20 @@ def test_position_table_holds_one_class_mask_per_prime():
 
 
 def test_position_table_is_linear_in_its_primes():
-    # the table a k = 3000 search builds at its first diameter, 5998: with a
-    # field mask and a guard bit per prime, each as wide as the 594,253-bit
-    # coverage word, it held 23.3 MB
-    tracemalloc.start()
-    try:
-        table = _Positions(3000, 23992, None)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.classes) == 430  # pi(3000)
-    assert held < 3 * 10**6
+    # the tables a search builds at its first diameter 2(k - 1). At k = 3000,
+    # with a field mask and a guard bit per prime, each as wide as the
+    # 594,253-bit coverage word, it held 23.3 MB. At the paper's k_3 = 35,265,
+    # with each prime's multiples mask made up front, it held 171 MB.
+    for k, n, primes, bound in ((3000, 23992, 430, 3 * 10**6), (35265, 282112, 3756, 30 * 10**6)):
+        tracemalloc.start()
+        try:
+            table = _Positions(k, n, None)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.classes) == primes  # pi(k)
+        assert not table.multiples  # no mask is made before it is read
+        assert held < bound, k
 
 
 @pytest.mark.parametrize("k", [2, 3, 30, 50])
@@ -145,6 +148,12 @@ def test_position_words_match_their_eager_definition(k):
     for v in range(257):
         assert table[v] == fields & ~own[v], v
     assert len(table) == 257
+    if k == 30:
+        # each multiples mask the search for the narrowest 30-tuple (A008407) made
+        middles, _ = _search_fixed_diameter(k, 136, table, 0, 10**7)
+        assert middles is not None and table.multiples
+        for p, mask in table.multiples.items():
+            assert mask == sum(1 << v for v in range(0, table.n + 1, p)), p
 
 
 def test_wide_search_with_one_node_builds_no_table_per_position():

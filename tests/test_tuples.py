@@ -19,7 +19,12 @@ from smoothgap.tuples import (
 from smoothgap.smoothness import is_smooth
 
 from tests.generators import random_admissible_elements
-from tests.oracles import brute_difference_smooth, brute_obstruction
+from tests.oracles import (
+    brute_difference_smooth,
+    brute_obstruction,
+    simple_sieve,
+    trial_is_prime,
+)
 
 
 def test_tuple_validation():
@@ -126,6 +131,19 @@ def test_construct_consecutive_prime_examples():
     assert len(H) == 50
     assert diameter(H) == 260  # primes 53 .. 313
     assert is_admissible(H)
+
+
+def test_construct_consecutive_prime_matches_trial_division():
+    primes = [n for n in range(3000) if trial_is_prime(n)]
+    for k in range(1, 301):
+        above = [p for p in primes if p > k][:k]
+        assert len(above) == k
+        assert construct_consecutive_prime_tuple(k) == tuple(p - above[0] for p in above), k
+    # the paper's k_3: the 35,265 primes from 35,267 to 467,497
+    H = construct_consecutive_prime_tuple(35265)
+    assert diameter(H) == 432230
+    flags = simple_sieve(467497)
+    assert [h + 35267 for h in H] == [n for n in range(35266, 467498) if flags[n]]
 
 
 def test_find_smoothness_witness_examples():
