@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._sieve import _window_primes, prime_windows
+from ._sieve import _fold_windows, _window_primes
 from .errors import CapacityError
 from .tuples import IntegerTuple, diameter, is_admissible, residue_coverage
 
@@ -32,9 +32,11 @@ def _tail_magnitude(k: int, cutoff: int) -> float:
 
 def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> SingularSeriesEstimate:
     """Partial Hardy-Littlewood product prod (1 - v_p/p) / (1 - 1/p)^k
-    over primes p <= prime_cutoff, accumulated in log space: one pass over
-    prime_windows(prime_cutoff) that adds up each window's log terms, so
-    it holds no table of the primes up to the cutoff. The cutoff defaults to
+    over primes p <= prime_cutoff, accumulated in log space: one
+    _fold_windows pass over the windows to the cutoff that sums each
+    window's log terms, so it holds no table of the primes up to the
+    cutoff. The window sums are added in window order, so the value does
+    not depend on how many runs the pass is split into. The cutoff defaults to
     DEFAULT_PRIME_CUTOFF, or k or diameter + 1 where either is larger.
 
     Exactly 0 (and admissible = False) when some v_p = p; CapacityError past the largest float.
@@ -51,18 +53,26 @@ def singular_series(H: IntegerTuple, prime_cutoff: int | None = None) -> Singula
     tail = _tail_magnitude(k, prime_cutoff)
     if not is_admissible(H):
         return SingularSeriesEstimate(0.0, k, prime_cutoff, tail, False)
+
+    def fold(_, windows) -> list[float]:
+        sums = []
+        for start, flags in windows:
+            primes = _window_primes(start, flags, prime_cutoff).astype(np.float64)
+            small = primes[: np.searchsorted(primes, d, side="right")]
+            head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
+            k_logs = k * np.log1p(-1.0 / primes)
+            # for p > diameter(H) the elements are distinct mod p, so v_p = k
+            log_terms = np.divide(-float(k), primes, out=primes)
+            log_terms[: len(head)] = head
+            np.log1p(log_terms, out=log_terms)
+            log_terms -= k_logs
+            sums.append(float(np.sum(log_terms)))
+        return sums
+
     total = 0.0
-    for start, flags in prime_windows(prime_cutoff):
-        primes = _window_primes(start, flags, prime_cutoff).astype(np.float64)
-        small = primes[: np.searchsorted(primes, d, side="right")]
-        head = [-residue_coverage(H, int(p)) / p for p in small]  # -v_p / p
-        k_logs = k * np.log1p(-1.0 / primes)
-        # for p > diameter(H) the elements are distinct mod p, so v_p = k
-        log_terms = np.divide(-float(k), primes, out=primes)
-        log_terms[: len(head)] = head
-        np.log1p(log_terms, out=log_terms)
-        log_terms -= k_logs
-        total += float(np.sum(log_terms))
+    for sums in _fold_windows(fold, prime_cutoff):
+        for window_sum in sums:  # in window order; sum() compensates from Python 3.12
+            total += window_sum
     try:
         value = math.exp(total)
     except OverflowError:

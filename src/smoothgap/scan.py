@@ -4,15 +4,14 @@ counts, and prime tuple-translate counts with Hardy-Littlewood predictions."""
 from __future__ import annotations
 
 import itertools
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _sieve
-from ._sieve import SCAN_LIMIT, _window_primes, prime_flags, prime_windows
+from ._sieve import SCAN_LIMIT, _fold_windows, _window_primes, prime_flags
 from .errors import CapacityError
-from .primes import check_budget, is_prime, mem_budget
+from .primes import check_budget, is_prime, largest_prime_leq, mem_budget
 from .smoothness import smooth_numbers_up_to
 from .tuples import IntegerTuple
 
@@ -242,7 +241,7 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
 
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+    with ThreadPoolExecutor(max_workers=_sieve._cpu_count()) as pool:
         partials = list(pool.map(count_gap, gaps))
     return [int(n) for n in sum(partials, np.zeros(len(checkpoints), dtype=np.int64))]
 
@@ -256,13 +255,6 @@ def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
         return False
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
     return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
@@ -308,31 +300,42 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
 def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Adjacent prime pairs (q, next prime) <= checkpoint with y-smooth gap.
 
-    One pass over prime_windows(x) that carries the last prime across
-    windows: each window's primes, after the carried one, give its gaps.
-    The smooth-gap lookup grows when a larger gap appears, each window adds
-    its pairs to the checkpoint counts by one searchsorted, and the first
-    MAX_WITNESSES pairs are kept, so nothing held grows with x."""
+    A _fold_windows pass over the windows to x that carries the last prime
+    across windows: each window's primes, after the carried one, give its
+    gaps, and a run after the first carries the largest prime below it from
+    the start. The smooth-gap lookup grows when a larger gap appears, each
+    window adds its pairs to the checkpoint counts by one searchsorted, and
+    the first MAX_WITNESSES pairs are kept, so nothing held grows with x.
+    A pair is counted in the run of its larger member; the runs' counts add
+    up and their witnesses join in window order."""
     if req.mode != MODE_CONSECUTIVE:
         raise ValueError(f"expected mode {MODE_CONSECUTIVE!r}")
-    smooth_gap = np.zeros(1, dtype=bool)  # indexed by gap, grown to the widest so far
-    counts = np.zeros(len(req.checkpoints), dtype=np.int64)
-    witnesses = []
-    carried = np.empty(0, dtype=np.int64)  # the last prime so far, once there is one
-    for start, flags in prime_windows(req.x_max):
-        primes = np.concatenate((carried, _window_primes(start, flags, req.x_max)))
-        gaps = np.diff(primes)
-        widest = int(gaps.max(initial=0))
-        if widest >= len(smooth_gap):
-            smooth_gap = np.zeros(widest + 1, dtype=bool)
-            smooth_gap[_gap_values(req, widest)] = True
-        hit = smooth_gap[gaps]
-        upper = primes[1:][hit]  # pair counted once the larger member is in range
-        counts += np.searchsorted(upper, req.checkpoints, side="right")
-        room = MAX_WITNESSES - len(witnesses)
-        if room > 0:
-            witnesses += zip(primes[:-1][hit][:room].tolist(), upper[:room].tolist())
-        carried = primes[-1:]
+
+    def fold(first: int, windows):
+        smooth_gap = np.zeros(1, dtype=bool)  # indexed by gap, grown to the widest so far
+        counts = np.zeros(len(req.checkpoints), dtype=np.int64)
+        witnesses = []
+        # the last prime so far, once there is one: below the run's first integer 2 * first + 1
+        carried = np.array([largest_prime_leq(2 * first - 1)] if first else [], dtype=np.int64)
+        for start, flags in windows:
+            primes = np.concatenate((carried, _window_primes(start, flags, req.x_max)))
+            gaps = np.diff(primes)
+            widest = int(gaps.max(initial=0))
+            if widest >= len(smooth_gap):
+                smooth_gap = np.zeros(widest + 1, dtype=bool)
+                smooth_gap[_gap_values(req, widest)] = True
+            hit = smooth_gap[gaps]
+            upper = primes[1:][hit]  # pair counted once the larger member is in range
+            counts += np.searchsorted(upper, req.checkpoints, side="right")
+            room = MAX_WITNESSES - len(witnesses)
+            if room > 0:
+                witnesses += zip(primes[:-1][hit][:room].tolist(), upper[:room].tolist())
+            carried = primes[-1:]
+        return counts, witnesses
+
+    runs = _fold_windows(fold, req.x_max)
+    counts = sum(n for n, _ in runs)
+    witnesses = [pair for _, pairs in runs for pair in pairs][:MAX_WITNESSES]
     records = tuple(CheckpointRecord(c, int(n)) for c, n in zip(req.checkpoints, counts))
     return ScanReport(req, records, tuple(witnesses))
 
@@ -354,8 +357,10 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     reach the count asked for is one pass of the kernel over
     prime_windows(x - 1 + 2r, r), whose windows are keyed by flag index as
     the kernel reads them and reach r = max(shifts) flags ahead, at most
-    (diameter + 1) / 2: nothing it holds grows with x. The ends and the
-    witnesses turn flag indices into integers by // 2 and 2j + 1."""
+    (diameter + 1) / 2: nothing it holds grows with x. _fold_windows splits
+    each pass into runs, whose counts add up and whose witnesses join in
+    window order. The ends and the witnesses turn flag indices into
+    integers by // 2 and 2j + 1."""
     if req.mode != MODE_TRANSLATES:
         raise ValueError(f"expected mode {MODE_TRANSLATES!r}")
     from .constants import hl_predictions  # the pair modes never predict
@@ -376,13 +381,18 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     for offset, shifts in classes:
         if len(shifts) < need:
             continue  # no n of this class has that many n + h prime
-        windows = prime_windows(req.x_max - 1 + 2 * shifts[-1], shifts[-1])
         ends = [(c - offset) // 2 for c in req.checkpoints]
-        full, enough, found = _translate_counts(windows, shifts, ends, m, MAX_WITNESSES - len(hits))
-        at_least = [a + b for a, b in zip(at_least, enough)]
-        if len(shifts) == k:  # the odd n of an all-even tuple
-            counts = [a + b for a, b in zip(counts, full)]
-            hits += [2 * j + 1 for j in found]
+        room = MAX_WITNESSES - len(hits)
+        runs = _fold_windows(
+            lambda _, windows: _translate_counts(windows, shifts, ends, m, room),
+            req.x_max - 1 + 2 * shifts[-1],
+            shifts[-1],
+        )
+        for full, enough, found in runs:
+            at_least = [a + b for a, b in zip(at_least, enough)]
+            if len(shifts) == k:  # the odd n of an all-even tuple
+                counts = [a + b for a, b in zip(counts, full)]
+                hits += [2 * j + 1 for j in found[: MAX_WITNESSES - len(hits)]]
     records = []
     rows = zip(req.checkpoints, counts, at_least, predictions)
     for c, count, enough, (ratio_pred, integral_pred) in rows:

@@ -185,7 +185,8 @@ class _Positions(dict):
     A coverage word has one field of p bits per prime p, each with a zero
     guard bit above it; bit r of p's field stands for the class r mod p.
     A position word has bit v set for each position v in it. table[v] is
-    the coverage word of every class but v's, made on first read and kept.
+    the coverage word of every class but v's, made on first read and kept;
+    the words kept, with the coverage words, are charged to mem_budget().
     """
 
     def __init__(self, k: int, n: int, y: int | None):
@@ -204,6 +205,12 @@ class _Positions(dict):
         self.smooth = (2 << n) - 1 if y is None else _word([0] + smooth_numbers_up_to(y, n), n)
 
     def __missing__(self, v: int) -> int:
+        # the words kept so far, this one and the three coverage words
+        words = len(self) + 4
+        check_budget(
+            words * (self.width // 8 + 1),
+            f"{words - 3} position words and 3 coverage words of {self.width} bits",
+        )
         own = _word([o + v % p for p, o in self.classes.values()], self.width)
         return self.setdefault(v, self.fields ^ own)
 

@@ -153,7 +153,7 @@ def test_criterion_7_scan_oracle_equivalence(monkeypatch):
     for req in requests:
         reference = scan_report_json(run_scan(req))
         for cpus in (1, 3):
-            monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+            monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
             assert scan_report_json(run_scan(req)) == reference
     report(7, "all scan modes equal brute force at 1e4; reports byte-stable")
 

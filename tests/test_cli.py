@@ -229,6 +229,19 @@ def test_search_coverage_words_over_budget_exit_3(capsys, monkeypatch):
     assert err == "capacity: coverage words of 594253 bits need 222846 bytes, over budget 50000\n"
 
 
+def test_search_position_words_over_budget_exit_3(capsys, monkeypatch):
+    # k = 3000: 500,000 bytes hold the three coverage words and three
+    # position words of 74,282 bytes each; the search reads a fourth
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(5 * 10**5))
+    code, out, err = invoke(capsys, "search", "3000", "--budget", "100000")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        "capacity: 4 position words and 3 coverage words of 594253 bits need 519974 bytes, "
+        "over budget 500000\n"
+    )
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("smooth", [(), ("--smooth", "11")])
 def test_search_rejects_budget_below_one(capsys, budget, smooth):
@@ -308,9 +321,9 @@ def test_scan_large_y(capsys, mode):
 def test_scan_byte_stable(capsys, monkeypatch):
     for mode in ("pairs", "consecutive-pairs"):
         args = ("scan", mode, "500", "--y", "3")
-        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 1)
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
         _, first, _ = invoke(capsys, *args)
-        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 4)
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 4)
         _, second, _ = invoke(capsys, *args)
         assert first == second
 
@@ -363,7 +376,7 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
     assert code == EXIT_OK
     # enough for the flag table, too little for the transform buffers
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**6))
-    monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 2)
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 2)
     code, out, _ = invoke(capsys, *args)
     assert code == EXIT_OK
     assert out == reference

@@ -203,7 +203,7 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one, monkeypatch)
     assert [r.count for r in count_smooth_gap_pairs(req).records] == expected
     assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
         assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
 
 
@@ -214,7 +214,7 @@ def test_pairs_kernels_agree_across_blocks(monkeypatch):
     expected = [brute_pair_count(c, 7, True) for c in req.checkpoints]
     assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
         assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
 
 
@@ -673,10 +673,10 @@ def test_checkpoint_consistency():
     ],
 )
 def test_reports_byte_identical_across_knobs(req, monkeypatch):
-    monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: 1)
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
     reference = scan_report_json(run_scan(req))
     for cpus in (2, 4):
-        monkeypatch.setattr("smoothgap.scan._cpu_count", lambda: cpus)
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
         assert scan_report_json(run_scan(req)) == reference
 
 
@@ -690,13 +690,28 @@ def test_pair_witnesses_ordering():
 
 def test_overflowing_prediction_fails_before_any_window(monkeypatch):
     # (log 10^9)^300 exceeds the largest float: the predictions come first,
-    # so the scan stops before it sieves a window
-    import smoothgap.scan
+    # so the scan stops before it sieves a window of its counting pass. Only
+    # the singular series, inside the predictions, sieves its own windows.
+    import smoothgap._sieve
+    import smoothgap.constants
 
-    def no_windows(*args):
-        raise AssertionError("a window was read")
+    in_series = []
+    series, sieve_window = smoothgap.constants.singular_series, smoothgap._sieve.sieve_window
 
-    monkeypatch.setattr(smoothgap.scan, "prime_windows", no_windows)
+    def series_marked(*args):
+        in_series.append(True)
+        try:
+            return series(*args)
+        finally:
+            in_series.pop()
+
+    def sieve_in_series_only(*args):
+        if not in_series:
+            raise AssertionError("a window of the counting pass was sieved")
+        return sieve_window(*args)
+
+    monkeypatch.setattr(smoothgap.constants, "singular_series", series_marked)
+    monkeypatch.setattr(smoothgap._sieve, "sieve_window", sieve_in_series_only)
     H = construct_consecutive_prime_tuple(300)
     with pytest.raises(CapacityError, match="float range"):
         run_scan(ScanRequest(10**9, "tuple-translates", tuple=H))

@@ -1,7 +1,9 @@
+import functools
 import tracemalloc
 
 import pytest
 
+from smoothgap.errors import CapacityError
 from smoothgap.primes import _primes_upto, largest_prime_leq
 from smoothgap.tuples import (
     IntegerTuple,
@@ -415,3 +417,20 @@ def test_smooth_search_golden(k, y, budget, elements, nodes, status):
         None if elements is None else max(elements))
     result = search_min_diameter_difference_smooth(k, y, budget)
     assert result == _expected(elements, CUT_NODES.get(inputs, nodes), lower, status)
+
+
+def test_kept_position_words_are_charged(monkeypatch):
+    # the words a table keeps count against the budget with its three
+    # coverage words: a budget that holds them all changes no result or
+    # node count, and one byte less stops the search at the last word
+    search = functools.partial(_search_fixed_diameter, 30, 136)
+    table = _Positions(30, 256, None)
+    reference = search(table, 0, 10**7)
+    words, size = len(table) + 3, table.width // 8 + 1
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(words * size))
+    table = _Positions(30, 256, None)
+    assert search(table, 0, 10**7) == reference
+    assert len(table) + 3 == words
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(words * size - 1))
+    with pytest.raises(CapacityError, match=f"{words - 3} position words and 3 coverage words"):
+        search(_Positions(30, 256, None), 0, 10**7)
