@@ -89,6 +89,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _run_count() -> int:
+    """The most runs _fold makes at once: one per CPU, or one without os.fork."""
+    return _cpu_count() if hasattr(os, "fork") else 1
+
+
 def _sieved(starts: range, size: int, end: int, base: np.ndarray):
     """The windows at starts, sieved in turn into one buffer of size flags,
     made on the first step."""
@@ -140,36 +145,35 @@ def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]
 
 
 def _fold_windows(fold: Callable[[int, Iterator], object], limit: int, reach: int = 0) -> list:
-    """fold(start, windows) over the windows of prime_windows(limit, reach),
-    split into contiguous runs, one per CPU the process may run on: start is
-    the flag index of the run's first window and windows its (start, flags)
-    pairs. Returns each run's result in window order.
-
-    The first run is folded here and every later one in a forked child,
-    which sends its result back as one pickle through a pipe, so fold's
-    results must pickle. An exception in a child is raised here with its
-    type and message; no child outlives the call. Each run sieves into a
-    buffer of its own. Without os.fork, or with fewer than 2 *
-    MIN_RUN_WINDOWS windows, there is one run and nothing is forked.
-
+    """_fold of fold(start, windows) over the runs of windows from _runs, one
+    per CPU at most: start is the flag index of a run's first window and
+    windows its (start, flags) pairs, sieved into a buffer of the run's own.
     Private, so that a traced run (bench/trace_child.py) times the pass,
     fold and waiting included, in the span of the function that called it."""
-    runs = _runs(limit, reach, _cpu_count() if hasattr(os, "fork") else 1)
+    return _fold(lambda run: fold(*run), _runs(limit, reach, _run_count()))
+
+
+def _fold(fold: Callable[[object], object], runs: list) -> list:
+    """[fold(run) for run in runs], the package's one way to use more than
+    one CPU: runs[0] is folded here, each later run in a forked child that
+    shares this process's memory copy-on-write and sends back its result
+    as one pickle through a pipe. An exception in a child is raised here
+    with its type and message; no child outlives the call."""
     children = []  # (pid, read end of its pipe)
     try:
-        for start, windows in runs[1:]:
+        for run in runs[1:]:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _fold_in_child(fold, start, windows, write)
+                _fold_in_child(fold, run, write)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [fold(*runs[0])]
+        results = [fold(runs[0])]
         for _, pipe in children:
             try:
                 ok, value = pickle.load(pipe)
             except EOFError:
-                raise ChildProcessError("a run of windows ended without a result") from None
+                raise ChildProcessError("a run ended without a result") from None
             if not ok:
                 raise value
             results.append(value)
@@ -181,14 +185,14 @@ def _fold_windows(fold: Callable[[int, Iterator], object], limit: int, reach: in
             os.waitpid(pid, 0)
 
 
-def _fold_in_child(fold, start: int, windows, write: int) -> None:
+def _fold_in_child(fold, run, write: int) -> None:
     """Fold one run in a forked child and send (True, result) or (False,
     exception) down the pipe write, as one pickle. Never returns: no
     exception reaches the caller's frames, and no atexit handler or stdio
     flush runs."""
     try:
         try:
-            message = (True, fold(start, windows))
+            message = (True, fold(run))
         except BaseException as e:  # raised again in the parent
             message = (False, e)
         with open(write, "wb") as pipe:

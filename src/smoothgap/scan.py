@@ -24,7 +24,7 @@ FFT_BYTES_PER_POINT = 40
 # Largest tolerated distance of a correlation value from an integer.
 FFT_ROUNDOFF_GUARD = 0.25
 # Time of one point-times-log2-length step of the wheel's four transforms over
-# one table byte of the per-gap AND-and-count, one thread, numpy 2, x86-64, at
+# one table byte of the per-gap AND-and-count, one CPU, numpy 2, x86-64, at
 # x = 2^24 and 10^8: about 8 ns against 0.15 ns, the median of 16 ratios (27-65).
 FFT_COST_PER_BYTE = 52
 
@@ -229,21 +229,20 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
     """Pair counts at each checkpoint from the windowed kernel once per even
     gap s, with shifts (0, s / 2) and ends at the odd integers below
     c - s + 1: the pairs (q, q + s) with q + s <= c. Its windows are views
-    table[a : a + WINDOW + s / 2] of the odd table. The gaps are spread over
-    one thread per CPU: O(x) per gap and one window buffer per thread
-    beyond the table."""
+    table[a : a + WINDOW + s / 2] of the odd table: O(x) per gap. The gaps
+    are dealt round-robin to one forked run per CPU (_sieve._fold)."""
 
-    def count_gap(s: int) -> list[int]:
-        r, step = s // 2, _sieve.WINDOW
-        windows = ((a, table[a : a + step + r]) for a in range(0, len(table) - r, step))
-        ends = [(c - s + 1) // 2 for c in checkpoints]
-        return _translate_counts(windows, (0, r), ends, None, 0)[0]
+    def count_gaps(run: np.ndarray) -> np.ndarray:
+        counts = np.zeros(len(checkpoints), dtype=np.int64)
+        for s in run.tolist():
+            r, step = s // 2, _sieve.WINDOW
+            windows = ((a, table[a : a + step + r]) for a in range(0, len(table) - r, step))
+            ends = [(c - s + 1) // 2 for c in checkpoints]
+            counts += _translate_counts(windows, (0, r), ends, None, 0)[0]
+        return counts
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=_sieve._cpu_count()) as pool:
-        partials = list(pool.map(count_gap, gaps))
-    return [int(n) for n in sum(partials, np.zeros(len(checkpoints), dtype=np.int64))]
+    runs = max(1, min(_sieve._run_count(), len(gaps)))
+    return [int(n) for n in sum(_sieve._fold(count_gaps, [gaps[i::runs] for i in range(runs)]))]
 
 
 def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
@@ -275,11 +274,11 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     under the default 4 GB budget it runs only for x <= 288,000,000.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
-    all, on one worker thread per CPU the process may run on, in no memory
-    beyond the table and a block buffer per thread. It takes the requests
-    the transform does not fit, so pairs mode is bounded in x only by the
-    table ((x + 1) / 2 <= mem_budget()), and those with few smooth gaps,
-    such as y = 2 or 3.
+    all, in one forked run of gaps per CPU the process may run on, in no
+    memory beyond the table they share and a block buffer per run. It takes
+    the requests the transform does not fit, so pairs mode is bounded in x
+    only by the table ((x + 1) / 2 <= mem_budget()), and those with few
+    smooth gaps, such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")

@@ -734,6 +734,7 @@ def test_scan_pairs_does_not_load_constants(capsys):
         "from smoothgap.cli import run\n"
         "code = run(sys.argv[1:])\n"
         "assert 'smoothgap.constants' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "sys.exit(code)\n"
     )
     _fresh_run_matches(capsys, script, "scan pairs 100 --y 3")

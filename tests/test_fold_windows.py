@@ -1,4 +1,5 @@
-"""_fold_windows: the windowed passes split into one forked run per CPU.
+"""_fold: the windowed passes split into one forked run per CPU, and the
+per-gap pairs kernel's gaps dealt over such runs.
 
 Every test patches WINDOW to 37 flags (74 integers), so a pass to a few
 thousand spans dozens of windows and splits into several runs. Each run past
@@ -19,6 +20,7 @@ from smoothgap.tuples import IntegerTuple
 from tests.oracles import (
     brute_consecutive_pairs,
     brute_is_smooth,
+    brute_pair_count,
     direct_singular_series,
     simple_sieve,
     trial_primes,
@@ -212,3 +214,33 @@ def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
     with pytest.raises(ChildProcessError, match="ended without a result"):
         _fold_windows(fold, 3000)
     assert_no_children()
+
+
+def test_per_gap_pairs_across_runs(monkeypatch):
+    # the 44 even 3-smooth gaps below 3000, dealt round-robin to up to 5 runs
+    monkeypatch.setattr("smoothgap.scan._fft_is_cheaper", lambda *args: False)
+    req = ScanRequest(3000, "pairs", y=3, checkpoints=(100, 1481, 2999, 3000))
+    expected = [brute_pair_count(c, 3) for c in req.checkpoints]
+    counts = by_cpus(monkeypatch, lambda: [r.count for r in run_scan(req).records])
+    assert counts == [expected] * len(CPUS)
+
+
+def test_an_error_counting_a_gap_of_a_later_run_reaches_the_caller(monkeypatch):
+    # the gap 4 is the second even gap: the second run's first when there are two
+    caller, translate_counts = os.getpid(), smoothgap.scan._translate_counts
+
+    def fail_at_gap_4(windows, shifts, ends, m, first):
+        if shifts == (0, 2):
+            raise ValueError(f"gap 4 in {'the caller' if os.getpid() == caller else 'a child'}")
+        return translate_counts(windows, shifts, ends, m, first)
+
+    def error():
+        with pytest.raises(ValueError) as raised:
+            run_scan(ScanRequest(3000, "pairs", y=3))
+        return type(raised.value), str(raised.value)
+
+    monkeypatch.setattr("smoothgap.scan._fft_is_cheaper", lambda *args: False)
+    monkeypatch.setattr("smoothgap.scan._translate_counts", fail_at_gap_4)
+    assert by_cpus(monkeypatch, error) == [(ValueError, "gap 4 in the caller")] + [
+        (ValueError, "gap 4 in a child")
+    ] * (len(CPUS) - 1)
