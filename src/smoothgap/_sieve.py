@@ -25,18 +25,20 @@ SCAN_LIMIT = 10**12  # desk-scale hard guard
 # windowed counting kernel: small enough that a window stays in cache. A
 # window of WINDOW flags spans 2 * WINDOW integers.
 WINDOW = 1 << 19
-# The fewest windows _fold_windows gives a run of its own: a run of fewer
-# saves less than its process costs. Each of the three windowed passes, in
-# process on a 2-core x86-64 host with numpy 2 (medians of 11), took 20-22 ms
-# in two runs against 27-37 ms in one at 16 windows, but 17-22 ms against
-# 13-18 ms at 8 windows and 12-14 ms against 8-9 ms at 4.
+# The fewest windows _run_count gives a run of its own: a run of fewer saves
+# less than its process costs. The per-gap pairs kernel counts each gap's
+# pass as its table's full windows, so a table under one window never forks.
+# Each of the three windowed passes, in process on a 2-core x86-64 host with
+# numpy 2 (medians of 11), took 20-22 ms in two runs against 27-37 ms in one
+# at 16 windows, but 17-22 ms against 13-18 ms at 8 windows and 12-14 ms
+# against 8-9 ms at 4.
 MIN_RUN_WINDOWS = 8
 
 
 def _window_primes(start: int, flags: np.ndarray, limit: int) -> np.ndarray:
-    """The primes of a window at start from prime_windows(limit), or of
-    prime_flags(limit) at start 0, ascending as int64: 2 first in the window
-    at start 0 once limit reaches it, then the flagged odd integers."""
+    """The primes of a window at start of a _fold_windows pass to limit, or
+    of prime_flags(limit) at start 0, ascending as int64: 2 first in the
+    window at start 0 once limit reaches it, then the flagged odd integers."""
     primes = flags.nonzero()[0]  # 2 * (start + i) + 1, in place
     primes *= 2
     primes += 2 * start + 1
@@ -89,68 +91,54 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_count() -> int:
-    """The most runs _fold makes at once: one per CPU, or one without os.fork."""
-    return _cpu_count() if hasattr(os, "fork") else 1
+def _run_count(windows: int) -> int:
+    """How many runs _fold makes of a pass worth `windows` windows: one per
+    CPU at most, each of at least MIN_RUN_WINDOWS windows, and one when there
+    are fewer or without os.fork."""
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    return max(1, min(cpus, windows // MIN_RUN_WINDOWS))
 
 
-def _sieved(starts: range, size: int, end: int, base: np.ndarray):
-    """The windows at starts, sieved in turn into one buffer of size flags,
-    made on the first step."""
-    buf = np.empty(size, dtype=bool)
-    for start in starts:
-        yield start, sieve_window(buf[: end - start], start, base)
+def _fold_windows(fold: Callable[[int, Iterator], object], limit: int, reach: int = 0) -> list:
+    """_fold of fold(first, windows) over _run_count contiguous runs of the
+    windows of the primes up to limit. windows yields a run's pairs (start,
+    flags), keyed by flag index: flags[i] is true iff 2 * (start + i) + 1 is
+    prime, for start = 0, s, 2s, ... while 2 * start <= limit - 2 * reach,
+    with the step s = max(WINDOW, reach) flags; first is the run's first
+    start. Each window holds s + reach flags, fewer where it would pass
+    limit, so a kernel that reads flag j + h for h up to reach reads the j
+    of each window's first s flags.
 
-
-def _runs(limit: int, reach: int, most: int) -> list[tuple[int, Iterator]]:
-    """The windows of prime_windows(limit, reach) in at most `most`
-    contiguous runs of at least MIN_RUN_WINDOWS windows each (one run when
-    there are fewer), as (first start, windows). Checks limit, and charges
-    the runs' buffers together when reach > WINDOW, with fewer runs where
-    that many buffers would not fit mem_budget()."""
+    A run sieves its windows in turn into one buffer of its own, made in the
+    run: copy what must outlive a step. Memory is O(sqrt(limit) + s + reach)
+    a run. Checked here, before anything is sieved: limit, so that the
+    windows start at or below the desk-scale guard; a reach wider than
+    WINDOW, which makes the windows as wide as the input asks, so the runs'
+    buffers must fit mem_budget() together, in fewer runs where that many
+    would not; and the table of sqrt(limit) / 2 bytes from which
+    primes._primes_upto takes the base primes. Private, so that a traced run
+    (bench/trace_child.py) times the pass, fold and waiting included, in the
+    span of the function that called it."""
     _check_limit(limit, reach)
     step = max(WINDOW, reach)
     end = (limit + 1) // 2  # the flags of the odd integers up to limit
     size = min(step + reach, end)
     starts = range(0, limit // 2 - reach + 1, step)
-    runs = max(1, min(most, len(starts) // MIN_RUN_WINDOWS))
+    runs = _run_count(len(starts))
     if reach > WINDOW:
         runs = max(1, min(runs, mem_budget() // max(size, 1)))
         check_budget(runs * size, f"windows with an overlap of {2 * reach}")
     base = _odd_base_primes(limit)
+
+    def sieved(run: range) -> Iterator[tuple[int, np.ndarray]]:
+        buf = np.empty(size, dtype=bool)
+        for start in run:
+            yield start, sieve_window(buf[: end - start], start, base)
+
     cuts = [len(starts) * i // runs for i in range(runs + 1)]
-    return [
-        (starts[a:b].start, _sieved(starts[a:b], size, end, base)) for a, b in zip(cuts, cuts[1:])
-    ]
-
-
-def prime_windows(limit: int, reach: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """The primes up to limit, a window at a time, keyed by flag index:
-    pairs (start, flags) with flags[i] true iff 2 * (start + i) + 1 is
-    prime, for start = 0, s, 2s, ... while 2 * start <= limit - 2 * reach,
-    where the step s = max(WINDOW, reach) flags. Each window holds s + reach
-    flags, fewer where it would pass limit, so the reach flags after a step
-    are also in its window. A kernel that reads flag j + h for h up to reach
-    reads the j of each window's first s flags.
-
-    The flags array is reused for the next window: copy what must outlive a
-    step. Memory is O(sqrt(limit) + s + reach). limit is checked here,
-    before anything is sieved: the windows start at or below the desk-scale
-    guard. So is a reach wider than a window: it makes the windows as wide
-    as the input asks, so they must fit mem_budget(). The base primes up to
-    sqrt(limit) come from primes._primes_upto, and its table of
-    sqrt(limit) / 2 bytes must fit it too."""
-    [(_, windows)] = _runs(limit, reach, 1)
-    return windows
-
-
-def _fold_windows(fold: Callable[[int, Iterator], object], limit: int, reach: int = 0) -> list:
-    """_fold of fold(start, windows) over the runs of windows from _runs, one
-    per CPU at most: start is the flag index of a run's first window and
-    windows its (start, flags) pairs, sieved into a buffer of the run's own.
-    Private, so that a traced run (bench/trace_child.py) times the pass,
-    fold and waiting included, in the span of the function that called it."""
-    return _fold(lambda run: fold(*run), _runs(limit, reach, _run_count()))
+    return _fold(
+        lambda run: fold(run.start, sieved(run)), [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+    )
 
 
 def _fold(fold: Callable[[object], object], runs: list) -> list:

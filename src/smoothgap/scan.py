@@ -133,13 +133,14 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
     len(shifts)); and the first `first` j of the first kind. shifts ascend.
 
     windows yields ascending, abutting (start, flags) with flags[i] the
-    flag of index start + i, the shape of prime_windows(limit, shifts[-1])
-    and of views of a prime_flags table; each covers the j in [start,
-    start + len(flags) - shifts[-1]), and together they must cover the j
-    below ends[-1]. Each window is split at the ends inside it; each piece
-    ANDs the shifted slices of flags into one buffer and counts it. Only
-    the at-least census adds a tally per piece, in the narrowest unsigned
-    dtype that holds len(shifts). Nothing it allocates grows with the ends."""
+    flag of index start + i, the shape of a run of _fold_windows(fold,
+    limit, shifts[-1]) and of views of a prime_flags table; each covers the
+    j in [start, start + len(flags) - shifts[-1]), and together they must
+    cover the j below ends[-1]. Each window is split at the ends inside it;
+    each piece ANDs the shifted slices of flags into one buffer and counts
+    it. Only the at-least census adds a tally per piece, in the narrowest
+    unsigned dtype that holds len(shifts). Nothing it allocates grows with
+    the ends."""
     census = m is not None and m < len(shifts)
     top, reach = ends[-1], shifts[-1]
     buf = np.empty(0, dtype=bool)
@@ -230,7 +231,10 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
     gap s, with shifts (0, s / 2) and ends at the odd integers below
     c - s + 1: the pairs (q, q + s) with q + s <= c. Its windows are views
     table[a : a + WINDOW + s / 2] of the odd table: O(x) per gap. The gaps
-    are dealt round-robin to one forked run per CPU (_sieve._fold)."""
+    are dealt round-robin to the runs of _sieve._fold, as many as
+    _sieve._run_count makes of each gap's pass counted as the table's full
+    windows, and no more than the gaps: a table under one window forks
+    nothing."""
 
     def count_gaps(run: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(checkpoints), dtype=np.int64)
@@ -241,7 +245,8 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
             counts += _translate_counts(windows, (0, r), ends, None, 0)[0]
         return counts
 
-    runs = max(1, min(_sieve._run_count(), len(gaps)))
+    windows = len(gaps) * (len(table) // _sieve.WINDOW)  # full windows over all the gaps
+    runs = max(1, min(_sieve._run_count(windows), len(gaps)))
     return [int(n) for n in sum(_sieve._fold(count_gaps, [gaps[i::runs] for i in range(runs)]))]
 
 
@@ -274,11 +279,12 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     under the default 4 GB budget it runs only for x <= 288,000,000.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
-    all, in one forked run of gaps per CPU the process may run on, in no
-    memory beyond the table they share and a block buffer per run. It takes
-    the requests the transform does not fit, so pairs mode is bounded in x
-    only by the table ((x + 1) / 2 <= mem_budget()), and those with few
-    smooth gaps, such as y = 2 or 3.
+    all, in forked runs of gaps, one per CPU the process may run on at most
+    and none for a table under one window, in no memory beyond the table
+    they share and a block buffer per run. It takes the requests the
+    transform does not fit, so pairs mode is bounded in x only by the table
+    ((x + 1) / 2 <= mem_budget()), and those with few smooth gaps, such as
+    y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
@@ -353,8 +359,8 @@ def count_tuple_translates(req: ScanRequest) -> ScanReport:
     tuple of one element, is all even, so it counts odd n only; a tuple
     with an odd h has every n + h prime only at n <= 2, and its census adds
     the two classes. n = 1 and 2 are checked directly. Each class that can
-    reach the count asked for is one pass of the kernel over
-    prime_windows(x - 1 + 2r, r), whose windows are keyed by flag index as
+    reach the count asked for is one pass of the kernel over the windows of
+    _fold_windows(fold, x - 1 + 2r, r), which are keyed by flag index as
     the kernel reads them and reach r = max(shifts) flags ahead, at most
     (diameter + 1) / 2: nothing it holds grows with x. _fold_windows splits
     each pass into runs, whose counts add up and whose witnesses join in

@@ -10,7 +10,7 @@ import os
 import pytest
 
 import smoothgap._sieve
-from smoothgap._sieve import MIN_RUN_WINDOWS, _window_primes, _fold_windows, prime_windows
+from smoothgap._sieve import MIN_RUN_WINDOWS, _window_primes, _fold_windows
 from smoothgap.cli import run, scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
@@ -32,6 +32,10 @@ CPUS = (1, 2, 3, 5)
 @pytest.fixture(autouse=True)
 def small_windows(monkeypatch):
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+
+
+def no_fork():
+    raise AssertionError("forked")
 
 
 def assert_no_children():
@@ -56,13 +60,21 @@ def run_starts(limit: int, reach: int = 0) -> list[list[int]]:
 
 def test_runs_split_the_windows_in_order(monkeypatch):
     limit = 3000  # 41 windows
-    every = [start for start, _ in prime_windows(limit)]
-    flags = [window.tolist() for _, window in prime_windows(limit)]
-    for cpus in CPUS:
-        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
-        runs = _fold_windows(
+
+    def pass_():
+        return _fold_windows(
             lambda first, windows: (first, [(s, w.tolist()) for s, w in windows]), limit
         )
+
+    # the reference is the one-CPU pass, which holds every odd flag once
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
+    [(_, reference)] = pass_()
+    every = [start for start, _ in reference]
+    flags = [window for _, window in reference]
+    assert [b for window in flags for b in window] == [bool(n) for n in simple_sieve(limit)[1::2]]
+    for cpus in CPUS:
+        monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
+        runs = pass_()
         assert_no_children()
         assert len(runs) == min(cpus, len(every) // MIN_RUN_WINDOWS)
         assert all(first == windows[0][0] for first, windows in runs)
@@ -72,9 +84,6 @@ def test_runs_split_the_windows_in_order(monkeypatch):
 
 
 def test_fewer_windows_than_two_runs_fork_nothing(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
     monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 5)
     monkeypatch.setattr(os, "fork", no_fork)
     windows = 2 * MIN_RUN_WINDOWS - 1
@@ -83,6 +92,17 @@ def test_fewer_windows_than_two_runs_fork_nothing(monkeypatch):
     # and without os.fork there is one run whatever the windows
     monkeypatch.delattr(os, "fork")
     assert len(run_starts(3000)) == 1
+
+
+def test_a_per_gap_scan_under_one_window_forks_nothing(monkeypatch):
+    # 35 flags to x = 70, under one window of 37: its 13 even 3-smooth gaps
+    # are counted in process, whatever the CPUs
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 5)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr("smoothgap.scan._fft_is_cheaper", lambda *args: False)
+    req = ScanRequest(70, "pairs", y=3, checkpoints=(10, 41, 69, 70))
+    expected = [brute_pair_count(c, 3) for c in req.checkpoints]
+    assert [r.count for r in run_scan(req).records] == expected
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,24 @@
 import pytest
 
-from smoothgap._sieve import _window_primes, prime_flags, prime_windows
+from smoothgap._sieve import _fold_windows, _window_primes, prime_flags
 from smoothgap.errors import CapacityError
 from smoothgap.primes import _primes_upto, is_prime, largest_prime_leq, primorial
 
 from tests.oracles import simple_sieve, trial_is_prime, trial_primes
 
 PRIMORIAL_47 = 614889782588491410
+
+
+def each_window(read, limit: int, reach: int = 0) -> list:
+    """read(start, flags) of every window of _fold_windows(fold, limit,
+    reach), in window order across the runs."""
+    runs = _fold_windows(lambda _, windows: [read(*window) for window in windows], limit, reach)
+    return [value for run in runs for value in run]
+
+
+def read_nothing(first, windows):
+    """A fold that reads no window, so that a pass sieves nothing and shows
+    only what _fold_windows checks at the call."""
 
 
 def test_sieve_small():
@@ -63,7 +75,7 @@ def test_prime_windows_match_simple_sieve(monkeypatch, limit, reach):
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     sieve = simple_sieve(limit)
     step = max(37, reach)
-    got = [(start, window.tolist()) for start, window in prime_windows(limit, reach)]
+    got = each_window(lambda start, window: (start, window.tolist()), limit, reach)
     assert [start for start, _ in got] == [
         start for start in range(0, limit + 1, step) if 2 * start <= limit - 2 * reach
     ]
@@ -72,29 +84,30 @@ def test_prime_windows_match_simple_sieve(monkeypatch, limit, reach):
         odd = range(2 * start + 1, min(2 * (start + step + reach), limit + 1), 2)
         assert window == [bool(sieve[n]) for n in odd]
     if not reach:
-        primes = [p for start, w in prime_windows(limit) for p in _window_primes(start, w, limit).tolist()]
+        windows = each_window(lambda start, w: _window_primes(start, w, limit).tolist(), limit)
+        primes = [p for window in windows for p in window]
         assert primes == trial_primes(limit)
 
 
 def test_prime_windows_check_limit_at_the_call(monkeypatch):
     with pytest.raises(ValueError):
-        prime_windows(-1)
+        _fold_windows(read_nothing, -1)
     with pytest.raises(CapacityError):
-        prime_windows(10**12 + 1)
+        _fold_windows(read_nothing, 10**12 + 1)
     # a translate scan to x = 10^12 sieves 2 * reach integers past x - 1:
     # the guard holds where its windows start
-    prime_windows(10**12 + 2, 1)
+    _fold_windows(read_nothing, 10**12 + 2, 1)
     with pytest.raises(CapacityError):
-        prime_windows(10**12 + 3, 1)
+        _fold_windows(read_nothing, 10**12 + 3, 1)
     # the full table is held to the budget, and windows only when a reach
     # wider than WINDOW makes them as wide as the input asks
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
-    assert sum(len(_window_primes(start, w, 10**5)) for start, w in prime_windows(10**5)) == 9592
+    assert sum(each_window(lambda start, w: len(_window_primes(start, w, 10**5)), 10**5)) == 9592
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
-    prime_windows(10**5, 37)
-    prime_windows(1500, 500)  # 750 bytes: the limit caps the window
+    _fold_windows(read_nothing, 10**5, 37)
+    _fold_windows(read_nothing, 1500, 500)  # 750 bytes: the limit caps the window
     with pytest.raises(CapacityError):
-        prime_windows(10**5, 501)  # 501 + 501 flags
+        _fold_windows(read_nothing, 10**5, 501)  # 501 + 501 flags
 
 
 def test_base_prime_table_is_held_to_the_budget(monkeypatch):
@@ -103,13 +116,13 @@ def test_base_prime_table_is_held_to_the_budget(monkeypatch):
     x = 10**7
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
     with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
-        prime_windows(x)
+        _fold_windows(read_nothing, x)
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1581")
-    assert sum(len(_window_primes(start, w, x)) for start, w in prime_windows(x)) == 664579
+    assert sum(each_window(lambda start, w: len(_window_primes(start, w, x)), x)) == 664579
     # a list already built once is no exemption
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
     with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
-        prime_windows(x)
+        _fold_windows(read_nothing, x)
 
 
 @pytest.mark.slow

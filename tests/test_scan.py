@@ -12,7 +12,7 @@ import pytest
 from smoothgap.cli import scan_report_json
 from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
-from smoothgap._sieve import WINDOW, prime_flags, prime_windows
+from smoothgap._sieve import WINDOW, _fold_windows, prime_flags
 from smoothgap.scan import (
     FFT_BYTES_PER_POINT,
     MAX_WITNESSES,
@@ -538,15 +538,19 @@ def brute_translates(shifts, ends, m, first):
 def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
     # H holds the kernel's shifts and ends its flag indices; windows of 37
     # flags: ends fall inside and on window edges, both from the sieve's
-    # windows and from views of one odd table
+    # windows, in one run, and from views of one odd table
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
     r = max(H)
     limit = 2 * (max(max(ends), 1) - 1 + r) + 1  # the odd integer of the last flag read
     table = prime_flags(limit)
     for m in (None, 1, max(1, len(H) - 1), len(H)):
         for first in (0, 3, MAX_WITNESSES):
             expected = brute_translates(H, ends, m, first)
-            assert _translate_counts(prime_windows(limit, r), H, ends, m, first) == expected
+            sieved = _fold_windows(
+                lambda _, windows: _translate_counts(windows, H, ends, m, first), limit, r
+            )
+            assert sieved == [expected]
             views = ((a, table[a : a + 37 + r]) for a in range(0, len(table) - r, 37))
             assert _translate_counts(views, H, ends, m, first) == expected
 
