@@ -134,16 +134,17 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
 
     windows yields ascending, abutting (start, flags) with flags[i] the
     flag of index start + i, the shape of a run of _fold_windows(fold,
-    limit, shifts[-1]) and of views of a prime_flags table; each covers the
-    j in [start, start + len(flags) - shifts[-1]), and together they must
-    cover the j below ends[-1]. Each window is split at the ends inside it;
-    each piece ANDs the shifted slices of flags into one buffer and counts
-    it. Only the at-least census adds a tally per piece, in the narrowest
-    unsigned dtype that holds len(shifts). Nothing it allocates grows with
-    the ends."""
+    limit, shifts[-1]); a window may be any width, or a whole prime_flags
+    table at start 0. Each covers the j in [start, start + len(flags) -
+    shifts[-1]), and together they must cover the j below ends[-1]. Each
+    window is cut into pieces of at most WINDOW flags, and at the ends
+    inside it; each piece ANDs the shifted slices of flags into one buffer
+    of WINDOW flags and counts it. Only the at-least census adds a tally
+    per piece, in the narrowest unsigned dtype that holds len(shifts).
+    Nothing it allocates grows with the ends or with a window's width."""
     census = m is not None and m < len(shifts)
     top, reach = ends[-1], shifts[-1]
-    buf = np.empty(0, dtype=bool)
+    buf = np.empty(_sieve.WINDOW, dtype=bool)
     counts, at_least, hits = [], [], []
     total, enough, i = 0, 0, 0  # ends[:i] are recorded
     for start, flags in windows:
@@ -153,9 +154,7 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
                 counts.append(total)
                 at_least.append(enough if census else total)
                 i += 1
-            b = min(ends[i], stop)
-            if len(buf) < b - a:
-                buf = np.empty(b - a, dtype=bool)
+            b = min(ends[i], stop, a + _sieve.WINDOW)
             both = flags[a - start + shifts[0] : b - start + shifts[0]]
             for s in shifts[1:]:
                 both = np.logical_and(both, flags[a - start + s : b - start + s], out=buf[: b - a])
@@ -229,20 +228,17 @@ def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[i
 def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
     """Pair counts at each checkpoint from the windowed kernel once per even
     gap s, with shifts (0, s / 2) and ends at the odd integers below
-    c - s + 1: the pairs (q, q + s) with q + s <= c. Its windows are views
-    table[a : a + WINDOW + s / 2] of the odd table: O(x) per gap. The gaps
-    are dealt round-robin to the runs of _sieve._fold, as many as
-    _sieve._run_count makes of each gap's pass counted as the table's full
-    windows, and no more than the gaps: a table under one window forks
-    nothing."""
+    c - s + 1: the pairs (q, q + s) with q + s <= c, from the whole odd
+    table as its one window: O(x) per gap. The gaps are dealt round-robin
+    to the runs of _sieve._fold, as many as _sieve._run_count makes of each
+    gap's pass counted as the table's full windows, and no more than the
+    gaps: a table under one window forks nothing."""
 
     def count_gaps(run: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(checkpoints), dtype=np.int64)
         for s in run.tolist():
-            r, step = s // 2, _sieve.WINDOW
-            windows = ((a, table[a : a + step + r]) for a in range(0, len(table) - r, step))
             ends = [(c - s + 1) // 2 for c in checkpoints]
-            counts += _translate_counts(windows, (0, r), ends, None, 0)[0]
+            counts += _translate_counts([(0, table)], (0, s // 2), ends, None, 0)[0]
         return counts
 
     windows = len(gaps) * (len(table) // _sieve.WINDOW)  # full windows over all the gaps

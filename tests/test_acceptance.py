@@ -150,6 +150,10 @@ def test_criterion_7_scan_oracle_equivalence(monkeypatch):
         ScanRequest(x, "consecutive-pairs", y=3),
         ScanRequest(x, "tuple-translates", tuple=IntegerTuple((0, 2, 6))),
     ]
+    # windows of 37 flags, so that every pass forks, and a series cutoff of
+    # 3000, 41 such windows, for the translate scan's prediction
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    monkeypatch.setattr("smoothgap.constants.DEFAULT_PRIME_CUTOFF", 3000)
     for req in requests:
         reference = scan_report_json(run_scan(req))
         for cpus in (1, 3):

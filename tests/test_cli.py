@@ -319,8 +319,10 @@ def test_scan_large_y(capsys, mode):
 
 
 def test_scan_byte_stable(capsys, monkeypatch):
+    # 41 windows of 37 flags to 3000: both scans fork at 4 CPUs
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     for mode in ("pairs", "consecutive-pairs"):
-        args = ("scan", mode, "500", "--y", "3")
+        args = ("scan", mode, "3000", "--y", "3")
         monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
         _, first, _ = invoke(capsys, *args)
         monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 4)

@@ -2,8 +2,11 @@
 per-gap pairs kernel's gaps dealt over such runs.
 
 Every test patches WINDOW to 37 flags (74 integers), so a pass to a few
-thousand spans dozens of windows and splits into several runs. Each run past
-the first is a real process, so the patched CPU counts stay small."""
+thousand spans dozens of windows and splits into several runs, and the
+singular series' default cutoff to 3000, so a translate scan's prediction
+spans 41 windows, not the 13,514 of a cutoff of 10^6, and still splits into
+runs. Each run past the first is a real process, so the patched CPU counts
+stay small."""
 
 import os
 
@@ -32,6 +35,7 @@ CPUS = (1, 2, 3, 5)
 @pytest.fixture(autouse=True)
 def small_windows(monkeypatch):
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    monkeypatch.setattr("smoothgap.constants.DEFAULT_PRIME_CUTOFF", 3000)
 
 
 def no_fork():

@@ -202,6 +202,8 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one, monkeypatch)
     expected = [brute_pair_count(c, y, gap_one) for c in checkpoints]
     assert [r.count for r in count_smooth_gap_pairs(req).records] == expected
     assert _counts_by_kernel(monkeypatch, req, fft=True) == expected
+    # windows of 37 flags, so that a table of 20 or more windows forks its gaps
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
         assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
@@ -536,9 +538,10 @@ def brute_translates(shifts, ends, m, first):
     ],
 )
 def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
-    # H holds the kernel's shifts and ends its flag indices; windows of 37
-    # flags: ends fall inside and on window edges, both from the sieve's
-    # windows, in one run, and from views of one odd table
+    # H holds the kernel's shifts and ends its flag indices; windows and
+    # pieces of 37 flags: ends fall inside and on window edges, both from the
+    # sieve's windows, in one run, and from views of one odd table, and on
+    # piece edges in that whole table as one window
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
     r = max(H)
@@ -553,6 +556,7 @@ def test_translate_kernel_matches_brute_force(monkeypatch, H, ends):
             assert sieved == [expected]
             views = ((a, table[a : a + 37 + r]) for a in range(0, len(table) - r, 37))
             assert _translate_counts(views, H, ends, m, first) == expected
+            assert _translate_counts([(0, table)], H, ends, m, first) == expected
 
 
 def test_windowed_passes_peak_allocation_is_a_few_windows():
@@ -576,6 +580,25 @@ def test_windowed_passes_peak_allocation_is_a_few_windows():
         finally:
             tracemalloc.stop()
         assert peak < 12 * WINDOW
+
+
+def test_a_wide_pass_holds_no_scratch_beyond_its_windows(monkeypatch):
+    # shifts reaching 2 * 10^6 flags, past WINDOW: each window holds 4 * 10^6
+    # flags, and the kernel's AND buffer and census tally stay at WINDOW
+    # flags however wide the window; the same counts from the whole table
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
+    x, shifts = 10**7, (0, 2 * 10**6)
+    limit, ends = x - 1 + 2 * shifts[-1], [x // 2]
+    tracemalloc.start()
+    try:
+        [sieved] = _fold_windows(
+            lambda _, windows: _translate_counts(windows, shifts, ends, 1, 0), limit, shifts[-1]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * shifts[-1] + 6 * WINDOW
+    assert sieved == _translate_counts([(0, prime_flags(limit))], shifts, ends, 1, 0)
 
 
 def test_windowed_passes_need_no_x_byte_budget(monkeypatch):
@@ -677,6 +700,10 @@ def test_checkpoint_consistency():
     ],
 )
 def test_reports_byte_identical_across_knobs(req, monkeypatch):
+    # windows of 37 flags, so that every pass forks, and a series cutoff of
+    # 3000, 41 such windows, for the translate scan's prediction
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    monkeypatch.setattr("smoothgap.constants.DEFAULT_PRIME_CUTOFF", 3000)
     monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 1)
     reference = scan_report_json(run_scan(req))
     for cpus in (2, 4):
