@@ -21,9 +21,9 @@ from .errors import CapacityError
 from .primes import _primes_upto, check_budget, mem_budget
 
 SCAN_LIMIT = 10**12  # desk-scale hard guard
-# Flags per window of the segmented sieve, and per numpy call of the
-# windowed counting kernel: small enough that a window stays in cache. A
-# window of WINDOW flags spans 2 * WINDOW integers.
+# Flags per piece of the sieve (a piece holds WINDOW to 2 * WINDOW) and per
+# numpy call of the windowed counting kernel, small enough to stay in cache;
+# the step of a _fold_windows pass. WINDOW flags span 2 * WINDOW integers.
 WINDOW = 1 << 19
 # The fewest windows _run_count gives a run of its own: a run of fewer saves
 # less than its process costs. The per-gap pairs kernel counts each gap's
@@ -50,20 +50,26 @@ def sieve_window(out: np.ndarray, start: int, base: np.ndarray) -> np.ndarray:
     return it. base holds, ascending as int64 from _odd_base_primes, at
     least every odd prime up to sqrt(2 * (start + len(out)) - 1).
 
-    The one strike loop of the scans. It is public so that a traced run
-    (bench/trace_child.py) times each window in the sieve layer: of a pass
-    that _fold_windows splits, only the first run's windows, which are
-    sieved in the traced process itself."""
-    hi = 2 * (start + len(out))
-    out.fill(True)
-    ps = base[: np.searchsorted(base, math.isqrt(max(hi - 1, 0)), side="right")]  # p^2 < hi
-    # The flag of the first odd multiple of each p from max(p^2, the window's
-    # first integer): the multiples (2j + 1)p sit at the flags j * p + (p - 1) / 2,
-    # so it is p^2's flag when that lies in the window, else the least flag
-    # of the window in that class mod p.
-    firsts = np.maximum((ps * ps - 1) // 2 - start, ((ps - 1) // 2 - start) % ps)
-    for p, first in zip(ps.tolist(), firsts.tolist()):
-        out[first::p] = False
+    The one strike loop of the package, for a window of any width. It
+    strikes out in pieces of WINDOW flags, the last taking the rest, so a
+    window of at most 2 * WINDOW flags is one piece and each piece of a
+    wider one holds WINDOW to 2 * WINDOW: a piece stays in cache, and a
+    shorter one would cost as many numpy calls, one per base prime. It is
+    public so that a traced run (bench/trace_child.py) times each window in
+    the sieve layer: of a pass that _fold_windows splits, only the first
+    run's windows, which are sieved in the traced process itself."""
+    cuts = [*range(0, max(len(out) - WINDOW, 1), WINDOW), len(out)]
+    for a, b in zip(cuts, cuts[1:]):
+        piece, lo, hi = out[a:b], start + a, 2 * (start + b)
+        piece.fill(True)
+        ps = base[: np.searchsorted(base, math.isqrt(max(hi - 1, 0)), side="right")]  # p^2 < hi
+        # The flag of the first odd multiple of each p from max(p^2, the
+        # piece's first integer): the multiples (2j + 1)p sit at the flags
+        # j * p + (p - 1) / 2, so it is p^2's flag when that lies in the
+        # piece, else the least flag of the piece in that class mod p.
+        firsts = np.maximum((ps * ps - 1) // 2 - lo, ((ps - 1) // 2 - lo) % ps)
+        for p, first in zip(ps.tolist(), firsts.tolist()):
+            piece[first::p] = False
     if start == 0:
         out[:1] = False  # 1
     return out
@@ -194,12 +200,8 @@ def prime_flags(limit: int) -> np.ndarray:
     prime, for the (limit + 1) // 2 odd integers up to limit. Its bytes must
     fit mem_budget(). For the callers that need random access; a pass that
     reads the primes in order folds its windows with _fold_windows
-    instead. Each window is sieved in place, in its slice of the table."""
+    instead. One sieve_window call sieves the whole table in place."""
     _check_limit(limit)
     size = (limit + 1) // 2
     check_budget(size, f"prime flags to {limit}")
-    flags = np.empty(size, dtype=bool)
-    base = _odd_base_primes(limit)
-    for i in range(0, size, WINDOW):
-        sieve_window(flags[i : i + WINDOW], i, base)
-    return flags
+    return sieve_window(np.empty(size, dtype=bool), 0, _odd_base_primes(limit))

@@ -30,10 +30,8 @@ EXIT_BUDGET = 3
 DEFAULT_SCAN_Y = 47  # the paper's smoothness bound for prime gaps
 
 
-def fmt_float(x: float | None) -> float | None:
+def fmt_float(x: float) -> float:
     """Round to 12 significant digits (half-even) for byte-stable reports."""
-    if x is None:
-        return None
     return float(f"{x:.12g}")
 
 

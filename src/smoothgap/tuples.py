@@ -10,10 +10,16 @@ from typing import NamedTuple
 from .primes import _primes_upto, check_budget, largest_prime_leq, primorial
 from .smoothness import is_smooth, smooth_numbers_up_to
 
-# Lowest known tuple lengths guaranteeing m primes among n + H, plus the
-# conditional m = 2 entry under Elliott-Halberstam.
-_KM_UNCONDITIONAL = ((2, 50), (3, 35265), (4, 1624545), (5, 73807570), (6, 3340375663))
-_KM_CONDITIONAL = ((2, 5),)
+# Lowest known tuple lengths k_m guaranteeing m primes among n + H, as rows
+# (m, k_m, conditional): the conditional m = 2 entry is under Elliott-Halberstam.
+_KM = (
+    (2, 50, False),
+    (3, 35265, False),
+    (4, 1624545, False),
+    (5, 73807570, False),
+    (6, 3340375663, False),
+    (2, 5, True),
+)
 
 
 class IntegerTuple(tuple):
@@ -361,12 +367,4 @@ def search_min_diameter_difference_smooth(
 
 def km_table() -> list[KmEntry]:
     """The tabulated k_m values with their derived prime bounds y_m."""
-    entries = [
-        KmEntry(m, k, largest_prime_leq(k), conditional=False)
-        for m, k in _KM_UNCONDITIONAL
-    ]
-    entries.extend(
-        KmEntry(m, k, largest_prime_leq(k), conditional=True)
-        for m, k in _KM_CONDITIONAL
-    )
-    return entries
+    return [KmEntry(m, k, largest_prime_leq(k), conditional) for m, k, conditional in _KM]

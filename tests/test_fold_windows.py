@@ -132,7 +132,8 @@ def test_consecutive_pairs_across_runs(monkeypatch, y, checkpoints):
 
 
 @pytest.mark.parametrize(
-    "elements, m", [((0, 2, 6), None), ((0, 2, 6), 2), ((0, 4, 6, 10, 12), 3), ((0, 1, 3), 2)]
+    "elements, m",
+    [((0, 2, 6), None), ((0, 2, 6), 2), ((0, 4, 6, 10, 12), 3), ((0, 1, 3), 2), ((0, 2, 200), 2)],
 )
 def test_translate_census_and_witnesses_across_runs(monkeypatch, elements, m):
     x, checkpoints = 3000, (100, 1000, 2999, 3000)

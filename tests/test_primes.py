@@ -50,8 +50,14 @@ def test_prime_flags_counts():
     assert int(flags[10**6 // 2 : 2 * 10**6 // 2].sum()) == 70435
 
 
-def test_prime_flags_matches_simple_sieve():
+def test_prime_flags_matches_simple_sieve(monkeypatch):
     assert prime_flags(10**5).tolist() == [bool(b) for b in simple_sieve(10**5)[1::2]]
+    # pieces of 37 flags, the last taking the rest: one piece up to 74 flags,
+    # then a tail shorter than a piece joins the piece before it
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    for size in (36, 37, 38, 73, 74, 75, 111, 112, 148):
+        for limit in (2 * size - 1, 2 * size):
+            assert prime_flags(limit).tolist() == [bool(b) for b in simple_sieve(limit)[1::2]]
 
 
 def test_prime_flags_guards(monkeypatch):
