@@ -20,6 +20,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _DEFAULT_MEM_BUDGET = 4_000_000_000
+# Peak bytes per prime of _primes_upto's tuple under tracemalloc, its ints and
+# the list it is built from: 47.0-48.9 from 10^4 to 3e7, CPython 3.11, 64-bit.
+_BYTES_PER_PRIME = 49
 
 
 def mem_budget() -> int:
@@ -46,11 +49,13 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
     """All primes up to limit inclusive, ascending: the base primes of the
     sieve and the small limits of primorials, smoothness checks and
     admissibility. An odd-only bytearray sieve, flags[i] for 2i + 1, whose
-    (limit + 1) // 2 bytes must fit mem_budget()."""
+    (limit + 1) // 2 bytes must fit mem_budget() with the tuple, charged at
+    Rosser and Schoenfeld's pi(x) < 1.25506 x / ln x primes."""
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     size = (limit + 1) // 2
-    check_budget(size, f"prime flags to {limit}")
+    most = 1.25506 * limit / math.log(limit) if limit > 1 else 0  # primes in the tuple
+    check_budget(size + int(_BYTES_PER_PRIME * most), f"prime flags and tuple to {limit}")
     flags = bytearray(b"\x01") * size
     flags[:1] = b"\x00"  # 1
     for i in range(1, (math.isqrt(limit) + 1) // 2):

@@ -17,16 +17,18 @@ from .tuples import IntegerTuple
 
 MAX_WITNESSES = 100
 
-# Peak RSS growth of the wheel's two transforms and two inverses, in bytes
-# per transform point, by ru_maxrss (tracemalloc misses pocketfft's scratch):
-# 40.0 at 1.7e6 to 5e7 points with numpy 2 on x86-64 (43 at 1.35e5).
-FFT_BYTES_PER_POINT = 40
+# Peak RSS growth of the wheel FFT by ru_maxrss, numpy 2, x86-64: 108-109 per
+# point of a class transform at 6.75e5-6.7e6 points, and 22.6 per even gap
+# (the gaps, their lags, the values read) at 5e6 gaps.
+FFT_BYTES_PER_POINT = 110
+FFT_BYTES_PER_GAP = 24
 # Largest tolerated distance of a correlation value from an integer.
 FFT_ROUNDOFF_GUARD = 0.25
-# Time of one point-times-log2-length step of the wheel's four transforms over
-# one table byte of the per-gap AND-and-count, one CPU, numpy 2, x86-64, at
-# x = 2^24 and 10^8: about 8 ns against 0.15 ns, the median of 16 ratios (27-65).
-FFT_COST_PER_BYTE = 52
+# Time of one point-times-log2-length step of the wheel FFT over one table
+# byte of the per-gap AND-and-count, one CPU, numpy 2, x86-64, at x = 2^24 and
+# 10^8: about 25 ns against 0.16 ns, the median of 16 ratios (137-239).
+FFT_COST_PER_BYTE = 158
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)  # prime to 30: each prime >= 7 is 30m + r
 
 MODE_PAIRS = "pairs"
 MODE_CONSECUTIVE = "consecutive-pairs"
@@ -182,45 +184,54 @@ def _fft_length(n: int) -> int:
     return min(odd << max(1, (-(-need // odd) - 1).bit_length()) for odd in odds) if n > 1 else 0
 
 
-def _wheel_sum(u: np.ndarray, v: np.ndarray, auto, ahead, behind) -> int:
-    """Sum of the autocorrelations of u and of v at the lags auto and of the
-    correlation #{t : u[t] and v[t + j]} at j in ahead and j = -k for k in
-    behind, exactly. len(v) <= len(u); lags of len(u) or more add 0."""
-    size = _fft_length(len(u))
-    if not size:
-        return 0
-    auto, ahead, behind = (lags[lags < len(u)] for lags in (auto, ahead, behind))
-    spectrum = np.fft.rfft(u, size)
-    power = spectrum.real**2  # |U|^2 + |V|^2, real: no complex temporaries
-    power += spectrum.imag**2
-    cross = np.fft.rfft(v, size)
-    power += cross.real**2
-    power += cross.imag**2
-    cross *= np.conjugate(spectrum, out=spectrum)  # conj(U) V, in place
-    del spectrum
-    values = np.fft.irfft(cross, size)
-    del cross
-    values = np.concatenate((values[ahead], values[size - behind]))  # frees the inverse
-    values = np.concatenate((values, np.fft.irfft(power, size)[auto]))
-    counts = np.rint(values)
-    roundoff = float(np.max(np.abs(values - counts), initial=0.0))
-    if roundoff >= FFT_ROUNDOFF_GUARD:
-        raise FloatingPointError(f"correlation of length {size} is {roundoff} away from an integer")
-    return int(counts.astype(np.int64).sum())
+def _wheel_sum(classes, lags) -> int:
+    """Pairs of set flags at the even gaps, exactly: classes[i][m] is the
+    flag of 30m + _WHEEL[i], n at most, and gap 30j + r' - r lag j of class
+    r against r'. lags[sigma / 2] holds s = sigma mod 30 at (s - sigma) / 30
+    and s = -sigma at -(s + sigma) / 30 of the inverse of the sum of conj(U_r)
+    U_r', r' = r + sigma mod 30, a lag ahead if r' < r. Its lags lie in
+    -n..n - 1, and 2n + 1 points keep -n..n apart."""
+    n = len(classes[0])
+    size = _fft_length(n + 1)
+    spectra = [np.fft.rfft(u, size) for u in classes]
+    shift = np.exp(2j * np.pi / size * np.arange(size // 2 + 1))  # one lag ahead
+    count = 0
+    for sigma, near in zip(range(0, 15, 2), lags):
+        near = near[np.abs(near) <= n]  # lag -j read at size - j
+        if not len(near):
+            continue
+        total, term = np.zeros_like(shift), np.empty_like(shift)
+        for u, r in zip(spectra, _WHEEL):
+            if (r + sigma) % 30 in _WHEEL:
+                np.multiply(np.conjugate(u, out=term), spectra[_WHEEL.index((r + sigma) % 30)], out=term)
+                if r + sigma > 30:
+                    term *= shift
+                total += term
+        del term
+        values = np.fft.irfft(total, size)[near]
+        counts = np.rint(values)
+        roundoff = float(np.max(np.abs(values - counts), initial=0.0))
+        if roundoff >= FFT_ROUNDOFF_GUARD:
+            raise FloatingPointError(f"correlation of length {size} is {roundoff} away from an integer")
+        count += int(counts.astype(np.int64).sum())
+    return count
 
 
 def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint c over the even gaps: q = 3 by one
-    lookup, and a prime q >= 5, 6m + 1 or 6m + 5, from u and v, the flags
-    3m and 3m + 2 of the odd table up to c. A gap s = 0 mod 6 is lag s / 6 of
-    both autocorrelations; the correlation of u with v holds s = 4 mod 6
-    (q = 1, p = 5) at lag (s - 4) / 6 and s = 2 (q = 5, p = 1) at -(s + 4) / 6."""
-    reach = gaps[gaps + 3 < 2 * len(table)]  # 3 + s within the table
-    threes = reach[table[(reach + 3) // 2]]  # the even gaps s with 3 + s prime
-    lags = (gaps[gaps % 6 == 0] // 6, gaps[gaps % 6 == 4] // 6, gaps[gaps % 6 == 2] // 6 + 1)
+    """Pair counts at each checkpoint c over the even gaps: q = 3 and 5 by
+    lookup, and a prime q = 30m + r >= 7 by _wheel_sum of the classes
+    table[(r - 1) // 2 : (c + 1) // 2 : 15]."""
+    ends = {q: np.searchsorted(gaps, 2 * len(table) - q) for q in (3, 5)}  # q + s in the table
+    hits = {q: gaps[:e][table[(gaps[:e] + q) // 2]] for q, e in ends.items()}  # q + s prime
+    rest = gaps % 30
+    lags = [
+        np.concatenate(((gaps[rest == t] - t) // 30, -((gaps[rest == 30 - t] + t) // 30)))
+        for t in range(0, 15, 2)
+    ]
+    del rest
     return [
-        _wheel_sum(table[: (c + 1) // 2 : 3], table[2 : (c + 1) // 2 : 3], *lags)
-        + int(np.searchsorted(threes, c - 3, side="right"))
+        _wheel_sum([table[(r - 1) // 2 : (c + 1) // 2 : 15] for r in _WHEEL], lags)
+        + sum(int(np.searchsorted(s, c - q, side="right")) for q, s in hits.items())
         for c in checkpoints
     ]
 
@@ -250,8 +261,9 @@ def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
     """Whether the FFT kernel fits mem_budget() beside the odd table and its
     estimated time is below the per-gap kernel's over the same even gaps,
     which reads (x + 1 - s) / 2 table bytes per gap s."""
-    sizes = [_fft_length(((c + 1) // 2 + 2) // 3) for c in checkpoints]  # len(u) at c
-    if (x + 1) // 2 + FFT_BYTES_PER_POINT * sizes[-1] > mem_budget():
+    sizes = [_fft_length(((c + 1) // 2 + 14) // 15 + 1) for c in checkpoints]  # class 1 at c
+    need = FFT_BYTES_PER_POINT * sizes[-1] + FFT_BYTES_PER_GAP * len(gaps)
+    if (x + 1) // 2 + need > mem_budget():
         return False
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
     return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
@@ -266,21 +278,19 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     to one of two exact kernels, chosen per request by estimated time within
     the memory budget.
 
-    _fft_pair_counts: per checkpoint c, q = 3 by lookup and the primes
-    6m +- 1 from two transforms and two inverses of about c / 3 points (the
-    _fft_length of a class's c / 6 flags), O(c log c). That totals about 1.1
-    times the largest for checkpoints a factor of 10 apart, and up to
-    len(checkpoints) times it when many sit near x. It needs
-    FFT_BYTES_PER_POINT bytes per point of the largest besides the table, so
-    under the default 4 GB budget it runs only for x <= 288,000,000.
+    _fft_pair_counts: per checkpoint c, q = 3 and 5 by lookup and the primes
+    30m + r, r prime to 30, from eight transforms and eight inverses of about
+    c / 15 points, O(c log c): about 1.1 times the largest in all for
+    checkpoints a factor of 10 apart, up to len(checkpoints) times it when
+    many sit near x. Besides the table it needs FFT_BYTES_PER_POINT bytes per
+    point of the largest and FFT_BYTES_PER_GAP per even gap, so under the
+    default 4 GB budget it runs only for x <= 510,183,330.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
-    all, in forked runs of gaps, one per CPU the process may run on at most
-    and none for a table under one window, in no memory beyond the table
-    they share and a block buffer per run. It takes the requests the
-    transform does not fit, so pairs mode is bounded in x only by the table
-    ((x + 1) / 2 <= mem_budget()), and those with few smooth gaps, such as
-    y = 2 or 3.
+    all, in forked runs that share the table and hold a block buffer each.
+    It takes the requests the transform does not fit, so pairs mode is
+    bounded in x only by the table ((x + 1) / 2 <= mem_budget()), and those
+    with few smooth gaps, such as y = 2 or 3.
     """
     if req.mode != MODE_PAIRS:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
@@ -289,6 +299,7 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     gaps = _gap_values(req, x - 2) if x > 2 else np.empty(0, dtype=np.int64)
     odd, even = gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
     twos = odd[table[(2 + odd) // 2]]  # the odd gaps s with 2 + s prime
+    del gaps, odd  # a kernel holds the even gaps alone
     fft = _fft_is_cheaper(x, even, req.checkpoints)
     counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(table, even, req.checkpoints)
     records = tuple(

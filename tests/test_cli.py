@@ -220,13 +220,14 @@ def test_search_budget_exit(capsys):
 
 
 def test_search_coverage_words_over_budget_exit_3(capsys, monkeypatch):
-    # k = 3000: the incumbent's sieve to 65,248 takes 32,624 bytes, the
-    # table's three 594,253-bit coverage words 222,846
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(5 * 10**4))
-    code, out, err = invoke(capsys, "search", "3000", "--budget", "1")
+    # k = 8000: the incumbent's sieve to 191,285 and its tuple of primes are
+    # charged 1,062,926 bytes, the table's three 3,739,573-bit coverage words
+    # 1,402,341
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(13 * 10**5))
+    code, out, err = invoke(capsys, "search", "8000", "--budget", "1")
     assert code == EXIT_BUDGET
     assert out == ""
-    assert err == "capacity: coverage words of 594253 bits need 222846 bytes, over budget 50000\n"
+    assert err == "capacity: coverage words of 3739573 bits need 1402341 bytes, over budget 1300000\n"
 
 
 def test_search_position_words_over_budget_exit_3(capsys, monkeypatch):
@@ -377,7 +378,7 @@ def test_scan_pairs_over_fft_budget_falls_back(capsys, monkeypatch):
     code, reference, _ = invoke(capsys, *args)
     assert code == EXIT_OK
     # enough for the flag table, too little for the transform buffers
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(10**6))
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(5 * 10**5))
     monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 2)
     code, out, _ = invoke(capsys, *args)
     assert code == EXIT_OK

@@ -215,18 +215,19 @@ def test_a_child_capacity_error_exits_3(capsys, monkeypatch):
 
 
 def test_wide_windows_are_charged_together(monkeypatch):
-    # reach 40 > WINDOW: windows of 80 flags, step 40, 125 of them to 10^4
+    # reach 2000 > WINDOW: windows of 4000 flags, step 2000, 25 of them to
+    # 10^5; one window is above the 3534 bytes charged for the base primes
     monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: 3)
-    reference = [s for starts in run_starts(10**4, 40) for s in starts]
-    for budget, runs in ((240, 3), (239, 2), (80, 1)):
+    reference = [s for starts in run_starts(10**5, 2000) for s in starts]
+    for budget, runs in ((12000, 3), (11999, 2), (4000, 1)):
         monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(budget))
-        got = run_starts(10**4, 40)
+        got = run_starts(10**5, 2000)
         assert len(got) == runs
         assert [s for starts in got for s in starts] == reference
         assert_no_children()
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "79")
-    with pytest.raises(CapacityError, match="windows with an overlap of 80 need 80 bytes"):
-        run_starts(10**4, 40)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "3999")
+    with pytest.raises(CapacityError, match="windows with an overlap of 4000 need 4000 bytes"):
+        run_starts(10**5, 2000)
 
 
 def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):

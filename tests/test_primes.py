@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from smoothgap._sieve import _fold_windows, _window_primes, prime_flags
@@ -35,6 +37,22 @@ def test_sieve_matches_trial_division(limit):
     assert list(_primes_upto(limit)) == trial_primes(limit)
     # the table flags the odd integers up to limit: none at 0, 1 alone at 1 and 2
     assert prime_flags(limit).tolist() == [trial_is_prime(n) for n in range(1, limit + 1, 2)]
+
+
+def test_sieve_charges_its_tuple(monkeypatch):
+    # 10^6: 500,000 flag bytes and at most 1.25506 * 10^6 / ln 10^6 = 90,844.3
+    # primes (there are 78,498) at 49 bytes each, 4,951,369 bytes in all
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "500000")  # the flags alone fit
+    with pytest.raises(CapacityError, match="prime flags and tuple to 1000000 need 4951369 bytes"):
+        _primes_upto(10**6)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "4951369")
+    tracemalloc.start()
+    try:
+        assert len(_primes_upto(10**6)) == 78498
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4951369  # the charge holds the flags, the ints and the list the tuple is built from
 
 
 def test_sieve_negative_limit():
@@ -106,28 +124,30 @@ def test_prime_windows_check_limit_at_the_call(monkeypatch):
     with pytest.raises(CapacityError):
         _fold_windows(read_nothing, 10**12 + 3, 1)
     # the full table is held to the budget, and windows only when a reach
-    # wider than WINDOW makes them as wide as the input asks
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1000")
+    # wider than WINDOW makes them as wide as the input asks; the base primes
+    # to 316 and their tuple are charged 3534 bytes
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "4000")
     assert sum(each_window(lambda start, w: len(_window_primes(start, w, 10**5)), 10**5)) == 9592
     monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
     _fold_windows(read_nothing, 10**5, 37)
-    _fold_windows(read_nothing, 1500, 500)  # 750 bytes: the limit caps the window
+    _fold_windows(read_nothing, 6000, 2500)  # 3000 bytes: the limit caps the window
     with pytest.raises(CapacityError):
-        _fold_windows(read_nothing, 10**5, 501)  # 501 + 501 flags
+        _fold_windows(read_nothing, 10**5, 2001)  # 2001 + 2001 flags
 
 
 def test_base_prime_table_is_held_to_the_budget(monkeypatch):
     # the base primes up to sqrt(x) come from _primes_upto: at x = 10^7 a
-    # table to 3162 of 1581 bytes, checked on every call
+    # table to 3162 of 1581 bytes and a tuple of at most 1.25506 * 3162 /
+    # ln 3162 = 492.4 primes at 49 bytes each, checked on every call
     x = 10**7
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
-    with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "25709")
+    with pytest.raises(CapacityError, match="prime flags and tuple to 3162 need 25710 bytes"):
         _fold_windows(read_nothing, x)
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1581")
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "25710")
     assert sum(each_window(lambda start, w: len(_window_primes(start, w, x)), x)) == 664579
     # a list already built once is no exemption
-    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "1580")
-    with pytest.raises(CapacityError, match="prime flags to 3162 need 1581 bytes"):
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", "25709")
+    with pytest.raises(CapacityError, match="prime flags and tuple to 3162 need 25710 bytes"):
         _fold_windows(read_nothing, x)
 
 

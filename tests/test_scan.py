@@ -14,6 +14,7 @@ from smoothgap.constants import singular_series
 from smoothgap.errors import CapacityError
 from smoothgap._sieve import WINDOW, _fold_windows, prime_flags
 from smoothgap.scan import (
+    FFT_BYTES_PER_GAP,
     FFT_BYTES_PER_POINT,
     MAX_WITNESSES,
     ScanRequest,
@@ -149,23 +150,46 @@ def test_fft_length_is_the_least_even_5_smooth_length():
         while size % 2 or not five_smooth(size):
             size += 1
         assert _fft_length(n) == size
-    # 10^6 and 10^8: u holds the flags of 6m + 1 up to x, about x / 6 of them
+    # larger n, where the least length may be a power of two
     assert _fft_length(166_667) == 337_500 == 2**2 * 3**3 * 5**5
     assert _fft_length(16_666_667) == 2**25
+    # 10^6 and 10^8: class 1 of the wheel holds the n flags of 30m + 1 up to
+    # x, about x / 30, transformed at _fft_length(n + 1)
+    assert _fft_length(33_335) == 67_500 == 2**2 * 3**3 * 5**4
+    assert _fft_length(3_333_335) == 6_718_464 == 2**10 * 3**8
 
 
-def test_fft_cliff_is_288_million_under_the_default_budget(monkeypatch):
-    # at x = 2.88e8 u holds 48,000,000 flags, and 2^11 * 3 * 5^6 = 96,000,000
-    # points is the least even 5-smooth length >= 2 * 48,000,000 - 1; one
-    # integer more needs a longer transform, over the 4e9 bytes
+def test_fft_cliff_is_510_million_under_the_default_budget(monkeypatch):
+    # at x = 510,183,330 class 1 holds the 17,006,111 flags of 30m + 1 <= x,
+    # and 2^6 * 3^12 = 34,012,224 points is the least even 5-smooth length
+    # >= 2 * 17,006,112 - 1; one integer more adds a flag to class 1 and needs
+    # 2^11 * 3^3 * 5^4 = 34,560,000 points, over the 4e9 bytes
     monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
-    x = 288_000_000
-    assert _fft_length(48_000_000) == 96_000_000 == 2**11 * 3 * 5**6
-    assert (x + 1) // 2 + FFT_BYTES_PER_POINT * 96_000_000 <= 4 * 10**9
-    assert (x + 2) // 2 + FFT_BYTES_PER_POINT * _fft_length(48_000_001) > 4 * 10**9
+    x = 510_183_330
     gaps = np.arange(2, 20000, 2)
+    assert ((x + 1) // 2, (x + 2) // 2) == (15 * 17_006_111, 15 * 17_006_111 + 1)
+    assert _fft_length(17_006_112) == 34_012_224 == 2**6 * 3**12
+    assert _fft_length(17_006_113) == 34_560_000 == 2**11 * 3**3 * 5**4
+    gap_bytes = FFT_BYTES_PER_GAP * len(gaps)
+    assert (x + 1) // 2 + FFT_BYTES_PER_POINT * 34_012_224 + gap_bytes <= 4 * 10**9
+    assert (x + 2) // 2 + FFT_BYTES_PER_POINT * 34_560_000 + gap_bytes > 4 * 10**9
     assert _fft_is_cheaper(x, gaps, (x,))
     assert not _fft_is_cheaper(x + 1, gaps, (x + 1,))
+
+
+def test_fft_fit_counts_the_even_gaps(monkeypatch):
+    # y >= x hands the FFT every even gap below x, 49,999 of them at 10^5: the
+    # odd table and the transform of class 1's 3,334 flags fit a budget too
+    # small for them with the gaps
+    x = 10**5
+    gaps = np.arange(2, x - 1, 2)
+    fit = (x + 1) // 2 + FFT_BYTES_PER_POINT * _fft_length(3_335)
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(fit + FFT_BYTES_PER_GAP * len(gaps)))
+    assert _fft_is_cheaper(x, gaps, (x,))
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(fit + FFT_BYTES_PER_GAP * len(gaps) - 1))
+    assert not _fft_is_cheaper(x, gaps, (x,))
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(fit + 8 * len(gaps)))  # the gaps' own int64s
+    assert not _fft_is_cheaper(x, gaps, (x,))
 
 
 @pytest.mark.parametrize("x, y, fft", [(10**8, 47, True), (2 * 10**8, 47, True), (10**8, 3, False)])
@@ -272,8 +296,8 @@ def test_pairs_all_gaps_smooth_is_binomial_at_1e7():
 
 @pytest.mark.slow
 def test_pairs_fft_matches_per_gap_kernel_at_1e8(monkeypatch):
-    # a transform of 2^25 points at 10^8 against the exact per-gap kernel,
-    # with checkpoints in each class 1, 5 and 4 mod 6
+    # class transforms of 6,718,464 points at 10^8 against the exact per-gap
+    # kernel, with checkpoints 1, 5 and 10 mod 30
     req = ScanRequest(10**8, "pairs", y=3, checkpoints=(10**6 + 1, 3 * 10**7 + 5, 10**8))
     assert _counts_by_kernel(monkeypatch, req, fft=True) == _counts_by_kernel(
         monkeypatch, req, fft=False
@@ -281,39 +305,58 @@ def test_pairs_fft_matches_per_gap_kernel_at_1e8(monkeypatch):
 
 
 def test_pairs_roundoff_guard(monkeypatch):
-    # y = 2 has no gap = 0 mod 6, so its gaps read cross-correlation lags
-    # only; the multiples of 6 read the autocorrelations only
+    # y = 2 has no gap = 0 mod 30, so its gaps read the sums of cross
+    # correlations of distinct classes only; the multiples of 30 read the sum
+    # of the classes' autocorrelations only
     cross = _gap_values(ScanRequest(1000, "pairs", y=2), 998)[1:]  # 2, 4, ..., 512
-    assert len(cross) == 9 and not (cross % 6 == 0).any()
+    assert len(cross) == 9 and not (cross % 30 == 0).any()
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
-    for gaps in (cross, np.array([6, 12, 18, 36, 96])):
+    for gaps in (cross, np.array([30, 60, 90, 120, 240])):
         with pytest.raises(FloatingPointError):
             _fft_pair_counts(prime_flags(1000), gaps, (1000,))
 
 
-def test_pairs_wheel_classes_match_oracle_to_150(monkeypatch):
-    # every x <= 150 with checkpoints at each residue mod 6 below it: the
-    # two wheel classes, the cross lags of both signs and q = 3 at their edges
+def test_pairs_wheel_classes_match_oracle_to_450(monkeypatch):
+    # every x <= 450 with checkpoints at each residue mod 30 below it: the
+    # eight wheel classes, the lags of both signs, the pairs that wrap past
+    # 30, lags as long as a class, and q = 3 and 5 at their edges
     oracle = functools.cache(brute_pair_count)
+    for x in range(1, 451):
+        checkpoints = tuple(range(max(1, x - 29), x + 1))
+        for y in (2, 47):
+            req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints)
+            expected = [oracle(c, y) for c in checkpoints]
+            assert _counts_by_kernel(monkeypatch, req, fft=True) == expected, (x, y)
+    # small y and no gap one at x <= 150
     for x in range(1, 151):
         checkpoints = tuple(range(max(1, x - 5), x + 1))
-        for y in (2, 3, 5, 47):
-            for gap_one in (True, False):
-                req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one)
-                expected = [oracle(c, y, gap_one) for c in checkpoints]
-                assert _counts_by_kernel(monkeypatch, req, fft=True) == expected, (x, y, gap_one)
+        for y, gap_one in ((3, True), (5, True), (2, False), (3, False), (5, False), (47, False)):
+            req = ScanRequest(x, "pairs", y=y, checkpoints=checkpoints, include_gap_one=gap_one)
+            expected = [oracle(c, y, gap_one) for c in checkpoints]
+            assert _counts_by_kernel(monkeypatch, req, fft=True) == expected, (x, y, gap_one)
+    # a lag as long as a class: at x = 1500 class 1 holds the 50 flags of
+    # 30m + 1 <= 1499, and the pair (11, 1499) of gap 1488 = -12 mod 30 is lag
+    # -50 of class 29 against class 11, a pair that wraps past 30
+    table = prime_flags(1500)
+    assert len(table[::15]) == 50
+    assert [q for q in range(3, 13, 2) if table[q // 2] and table[(q + 1488) // 2]] == [5, 11]
+    gaps, checkpoints = np.array([1488]), (1492, 1493, 1498, 1499, 1500)
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 1, 2, 2]
+    monkeypatch.setattr("smoothgap.scan._wheel_sum", lambda *args: 0)  # (5, 1493) by lookup
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 1, 1, 1]
 
 
-def test_pairs_with_q_3_are_a_lookup(monkeypatch):
-    # with the wheel's correlations at 0, the even-gap pairs left are (3, 3 + s):
-    # (3, 5), (3, 7) and (3, 11) for the 2-smooth gaps 2, 4 and 8
-    table = prime_flags(11)
+def test_pairs_with_q_3_and_5_are_a_lookup(monkeypatch):
+    # with the wheel part at 0, the even-gap pairs left are (3, 3 + s) and
+    # (5, 5 + s): (3, 5), (3, 7), (5, 7), (3, 11) and (5, 13) for the
+    # 2-smooth gaps 2, 4 and 8
+    table = prime_flags(13)
     gaps = np.array([2, 4, 8])
-    checkpoints = (4, 5, 7, 10, 11)
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 5]  # and (5, 7), (7, 11)
+    checkpoints = (4, 5, 7, 10, 11, 13)
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 5, 7]  # and (7, 11), (11, 13)
     monkeypatch.setattr("smoothgap.scan._wheel_sum", lambda *args: 0)
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 2, 2, 3]
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 4, 5]
 
 
 def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
@@ -326,9 +369,13 @@ def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
         "smoothgap.scan._fft_pair_counts", lambda *a: calls.append(a) or [0, 0]
     )
     table = (x + 1) // 2  # the odd integers up to x
-    # u holds the 16,667 flags of 6m + 1 <= x; 33,750 = 2 * 3^3 * 5^4 is the
-    # least even 5-smooth transform length >= 2 * 16,667 - 1
-    need = table + FFT_BYTES_PER_POINT * 33_750
+    # class 1 holds the 3,334 flags of 30m + 1 <= x; 6,750 = 2 * 3^3 * 5^3 is
+    # the least even 5-smooth transform length >= 2 * 3,335 - 1; and the 6,497
+    # even 47-smooth gaps below x
+    assert _fft_length(3_335) == 6_750
+    gaps = _gap_values(req, x - 2)
+    assert len(gaps[gaps % 2 == 0]) == 6_497
+    need = table + FFT_BYTES_PER_POINT * 6_750 + FFT_BYTES_PER_GAP * 6_497
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need))
     count_smooth_gap_pairs(req)
     assert len(calls) == 1
