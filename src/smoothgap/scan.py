@@ -119,13 +119,15 @@ class ScanReport(NamedTuple):
     witnesses: tuple[tuple[int, ...], ...] = ()
 
 
-def _gap_values(req: ScanRequest, limit: int) -> np.ndarray:
-    """The y-smooth gaps in [1, limit] ([2, limit] without gap one), ascending."""
+def _gap_values(req: ScanRequest, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd and the even y-smooth gaps in [1, limit] ([2, limit] without
+    gap one), each ascending: two int64 arrays."""
     first = 1 if req.include_gap_one else 2
     if req.y < limit:
-        return np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)[first - 1 :]
+        gaps = np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)[first - 1 :]
+        return gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
     check_budget(8 * (limit + 1 - first), f"the smooth gaps to {limit}")  # every gap: no list
-    return np.arange(first, limit + 1, dtype=np.int64)
+    return tuple(np.arange(a, limit + 1, 2, dtype=np.int64) for a in (2 * first - 1, 2))
 
 
 def _translate_counts(windows, shifts, ends, m: int | None, first: int):
@@ -136,12 +138,12 @@ def _translate_counts(windows, shifts, ends, m: int | None, first: int):
 
     windows yields ascending, abutting (start, flags) with flags[i] the
     flag of index start + i, the shape of a run of _fold_windows(fold,
-    limit, shifts[-1]); a window may be any width, or a whole prime_flags
-    table at start 0. Each covers the j in [start, start + len(flags) -
-    shifts[-1]), and together they must cover the j below ends[-1]. Each
-    window is cut into pieces of at most WINDOW flags, and at the ends
-    inside it; each piece ANDs the shifted slices of flags into one buffer
-    of WINDOW flags and counts it. Only the at-least census adds a tally
+    limit, shifts[-1]); a window may be any width, or a prime_flags table,
+    whole at start 0 or from start 3 (the integer 7) on. Each covers the j
+    in [start, start + len(flags) - shifts[-1]), and together they must
+    cover the j below ends[-1]. Each window is cut into pieces of at most
+    WINDOW flags, and at the ends inside it; each piece ANDs the shifted
+    slices of flags into one buffer of WINDOW flags and counts it. Only the at-least census adds a tally
     per piece, in the narrowest unsigned dtype that holds len(shifts).
     Nothing it allocates grows with the ends or with a window's width."""
     census = m is not None and m < len(shifts)
@@ -218,38 +220,33 @@ def _wheel_sum(classes, lags) -> int:
 
 
 def _fft_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint c over the even gaps: q = 3 and 5 by
-    lookup, and a prime q = 30m + r >= 7 by _wheel_sum of the classes
-    table[(r - 1) // 2 : (c + 1) // 2 : 15]."""
-    ends = {q: np.searchsorted(gaps, 2 * len(table) - q) for q in (3, 5)}  # q + s in the table
-    hits = {q: gaps[:e][table[(gaps[:e] + q) // 2]] for q, e in ends.items()}  # q + s prime
+    """The counts of _per_gap_pair_counts, the pairs with q >= 7, by
+    _wheel_sum of the classes table[(r - 1) // 2 : (c + 1) // 2 : 15] of
+    the primes q = 30m + r at each checkpoint c."""
     rest = gaps % 30
     lags = [
         np.concatenate(((gaps[rest == t] - t) // 30, -((gaps[rest == 30 - t] + t) // 30)))
         for t in range(0, 15, 2)
     ]
     del rest
-    return [
-        _wheel_sum([table[(r - 1) // 2 : (c + 1) // 2 : 15] for r in _WHEEL], lags)
-        + sum(int(np.searchsorted(s, c - q, side="right")) for q, s in hits.items())
-        for c in checkpoints
-    ]
+    return [_wheel_sum([table[(r - 1) // 2 : (c + 1) // 2 : 15] for r in _WHEEL], lags) for c in checkpoints]
 
 
 def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> list[int]:
-    """Pair counts at each checkpoint from the windowed kernel once per even
-    gap s, with shifts (0, s / 2) and ends at the odd integers below
-    c - s + 1: the pairs (q, q + s) with q + s <= c, from the whole odd
-    table as its one window: O(x) per gap. The gaps are dealt round-robin
-    to the runs of _sieve._fold, as many as _sieve._run_count makes of each
-    gap's pass counted as the table's full windows, and no more than the
-    gaps: a table under one window forks nothing."""
+    """The pairs (q, q + s) of primes q >= 7 with q + s <= c, at each
+    checkpoint c, over the even gaps s: the windowed kernel once per gap,
+    with shifts (0, s / 2) and ends at the odd integers below c - s + 1,
+    over the odd table from flag 3 (the integer 7) as its one window: O(x)
+    per gap. The gaps are dealt round-robin to the runs of _sieve._fold, as
+    many as _sieve._run_count makes of each gap's pass counted as the
+    table's full windows, and no more than the gaps: a table under one
+    window forks nothing."""
 
     def count_gaps(run: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(checkpoints), dtype=np.int64)
         for s in run.tolist():
             ends = [(c - s + 1) // 2 for c in checkpoints]
-            counts += _translate_counts([(0, table)], (0, s // 2), ends, None, 0)[0]
+            counts += _translate_counts([(3, table[3:])], (0, s // 2), ends, None, 0)[0]
         return counts
 
     windows = len(gaps) * (len(table) // _sieve.WINDOW)  # full windows over all the gaps
@@ -272,19 +269,21 @@ def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
 def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
     """Ordered pairs of primes p > q with p <= checkpoint and p - q y-smooth.
 
-    Both kernels read the odd table of prime_flags(x), (x + 1) / 2 bytes.
-    An odd gap s pairs only (2, 2 + s), and 2 is never a flag, so odd gaps
-    are counted here, from one lookup of the partners of 2. The even gaps go
-    to one of two exact kernels, chosen per request by estimated time within
-    the memory budget.
+    All of it reads the odd table of prime_flags(x), (x + 1) / 2 bytes, and
+    the odd and the even gaps of _gap_values. One lookup here counts every
+    pair with q <= 5, by whether q + s is a flag of the table, in pieces of
+    at most WINDOW gaps: q = 2 with the odd gaps (an odd s pairs only 2, and
+    2 is never a flag), 3 and 5 with the even. The pairs with q >= 7, over
+    the even gaps, go to one of two exact kernels with equal counts, chosen
+    per request by estimated time within the memory budget.
 
-    _fft_pair_counts: per checkpoint c, q = 3 and 5 by lookup and the primes
-    30m + r, r prime to 30, from eight transforms and eight inverses of about
-    c / 15 points, O(c log c): about 1.1 times the largest in all for
-    checkpoints a factor of 10 apart, up to len(checkpoints) times it when
-    many sit near x. Besides the table it needs FFT_BYTES_PER_POINT bytes per
-    point of the largest and FFT_BYTES_PER_GAP per even gap, so under the
-    default 4 GB budget it runs only for x <= 510,183,330.
+    _fft_pair_counts: per checkpoint c, the primes 30m + r, r prime to 30,
+    from eight transforms and eight inverses of about c / 15 points,
+    O(c log c): about 1.1 times the largest in all for checkpoints a factor
+    of 10 apart, up to len(checkpoints) times it when many sit near x.
+    Besides the table it needs FFT_BYTES_PER_POINT bytes per point of the
+    largest and FFT_BYTES_PER_GAP per even gap, so under the default 4 GB
+    budget it runs only for x <= 510,183,330.
 
     _per_gap_pair_counts: O(x) per even smooth gap, O(x * Psi(x, y)) in
     all, in forked runs that share the table and hold a block buffer each.
@@ -296,17 +295,18 @@ def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
         raise ValueError(f"expected mode {MODE_PAIRS!r}")
     x = req.x_max
     table = prime_flags(x)  # over budget fails here, before the gaps are enumerated
-    gaps = _gap_values(req, x - 2) if x > 2 else np.empty(0, dtype=np.int64)
-    odd, even = gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
-    twos = odd[table[(2 + odd) // 2]]  # the odd gaps s with 2 + s prime
-    del gaps, odd  # a kernel holds the even gaps alone
+    odd, even = _gap_values(req, x - 2)  # both empty below x = 3
+    partners = []  # the primes q + s, for q = 2, 3 and 5
+    for q, gaps in ((2, odd), (3, even), (5, even)):
+        gaps = gaps[: np.searchsorted(gaps, x - q, side="right")]  # q + s <= x
+        pieces = (gaps[a : a + _sieve.WINDOW] + q for a in range(0, len(gaps), _sieve.WINDOW))
+        partners.append(np.concatenate([np.empty(0, dtype=np.int64), *(p[table[p // 2]] for p in pieces)]))
+    small = sum(np.searchsorted(p, req.checkpoints, side="right") for p in partners)
+    del odd, partners[1:]  # a kernel holds the even gaps and the partners of 2 alone
     fft = _fft_is_cheaper(x, even, req.checkpoints)
     counts = (_fft_pair_counts if fft else _per_gap_pair_counts)(table, even, req.checkpoints)
-    records = tuple(
-        CheckpointRecord(c, n + int(np.searchsorted(twos, c - 2, side="right")))
-        for c, n in zip(req.checkpoints, counts)
-    )
-    return ScanReport(req, records, _pair_witnesses(table, even, twos))
+    records = tuple(CheckpointRecord(c, int(a + b)) for c, a, b in zip(req.checkpoints, small, counts))
+    return ScanReport(req, records, _pair_witnesses(table, even, partners[0]))
 
 
 def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
@@ -335,7 +335,7 @@ def count_consecutive_smooth_gap_pairs(req: ScanRequest) -> ScanReport:
             widest = int(gaps.max(initial=0))
             if widest >= len(smooth_gap):
                 smooth_gap = np.zeros(widest + 1, dtype=bool)
-                smooth_gap[_gap_values(req, widest)] = True
+                smooth_gap[np.concatenate(_gap_values(req, widest))] = True
             hit = smooth_gap[gaps]
             upper = primes[1:][hit]  # pair counted once the larger member is in range
             counts += np.searchsorted(upper, req.checkpoints, side="right")
@@ -424,12 +424,12 @@ def run_scan(req: ScanRequest) -> ScanReport:
 
 
 def _pair_witnesses(table: np.ndarray, even: np.ndarray, twos: np.ndarray):
-    """Earliest pairs (q, p) ordered by p then q ascending, capped: (2, 2 + s)
-    for s in twos, then the odd q = p - s for the even gaps s."""
+    """Earliest pairs (q, p) ordered by p then q ascending, capped: (2, p)
+    for p in twos, then the odd q = p - s for the even gaps s."""
     out = []
-    k = 0  # the pairs (2, 2 + s) for s in twos[:k] are out
+    k = 0  # the pairs (2, p) for p in twos[:k] are out
     for p in itertools.compress(itertools.count(1, 2), table):  # 2i + 1 for flag i
-        if k < len(twos) and twos[k] + 2 == p:
+        if k < len(twos) and twos[k] == p:
             out.append((2, p))
             k += 1
         qs = p - even[: np.searchsorted(even, p - 3, side="right")][::-1]  # ascending q >= 3

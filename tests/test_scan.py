@@ -196,8 +196,8 @@ def test_fft_fit_counts_the_even_gaps(monkeypatch):
 def test_kernel_choice_at_1e8_by_arithmetic(x, y, fft, monkeypatch):
     # by the cost model alone: nothing is sieved or transformed
     monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
-    gaps = _gap_values(ScanRequest(x, "pairs", y=y), x - 2)
-    assert _fft_is_cheaper(x, gaps[gaps % 2 == 0], (x,)) == fft
+    _, even = _gap_values(ScanRequest(x, "pairs", y=y), x - 2)
+    assert _fft_is_cheaper(x, even, (x,)) == fft
 
 
 def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
@@ -231,6 +231,18 @@ def test_pairs_checkpoints_match_oracle(x, y, checkpoints, gap_one, monkeypatch)
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
         assert _counts_by_kernel(monkeypatch, req, fft=False) == expected
+
+
+@pytest.mark.parametrize("y", [7, 47])
+def test_pair_kernels_return_equal_counts(y, monkeypatch):
+    # the same table, even gaps and checkpoints give both kernels the same
+    # pairs, those with q >= 7; windows smaller than the gaps
+    monkeypatch.setattr("smoothgap._sieve.WINDOW", 37)
+    table, checkpoints = prime_flags(5000), (30, 31, 1000, 4999, 5000)
+    _, even = _gap_values(ScanRequest(5000, "pairs", y=y), 4998)
+    expected = [sum(q >= 7 for q, _ in brute_pairs(c, y)) for c in checkpoints]
+    assert _fft_pair_counts(table, even, checkpoints) == expected
+    assert _per_gap_pair_counts(table, even, checkpoints) == expected
 
 
 def test_pairs_kernels_agree_across_blocks(monkeypatch):
@@ -277,6 +289,29 @@ def test_pairs_peak_allocation_per_integer():
     assert peak < 70 * x
 
 
+def test_pairs_all_smooth_gaps_peak_before_a_kernel(monkeypatch):
+    # with y >= x the odd and the even gaps are made apart, 8 bytes per
+    # integer as int64s, beside the odd table's 0.5 and the q <= 5 lookup's
+    # partners: no temporary as long as the gaps splits them by parity
+    x, peaks = 10**7, []
+
+    class Chosen(Exception):
+        pass
+
+    def chooser(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise Chosen  # before any transform
+
+    monkeypatch.setattr("smoothgap.scan._fft_is_cheaper", chooser)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Chosen):
+            count_smooth_gap_pairs(ScanRequest(x, "pairs", y=x))
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 12 * x
+
+
 def test_pairs_all_gaps_smooth_is_binomial():
     # with y >= x every gap is smooth, so every pair of primes counts
     x = 2 * 10**5
@@ -308,7 +343,7 @@ def test_pairs_roundoff_guard(monkeypatch):
     # y = 2 has no gap = 0 mod 30, so its gaps read the sums of cross
     # correlations of distinct classes only; the multiples of 30 read the sum
     # of the classes' autocorrelations only
-    cross = _gap_values(ScanRequest(1000, "pairs", y=2), 998)[1:]  # 2, 4, ..., 512
+    _, cross = _gap_values(ScanRequest(1000, "pairs", y=2), 998)  # 2, 4, ..., 512
     assert len(cross) == 9 and not (cross % 30 == 0).any()
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
@@ -320,7 +355,7 @@ def test_pairs_roundoff_guard(monkeypatch):
 def test_pairs_wheel_classes_match_oracle_to_450(monkeypatch):
     # every x <= 450 with checkpoints at each residue mod 30 below it: the
     # eight wheel classes, the lags of both signs, the pairs that wrap past
-    # 30, lags as long as a class, and q = 3 and 5 at their edges
+    # 30, lags as long as a class, and q <= 5 at their edges
     oracle = functools.cache(brute_pair_count)
     for x in range(1, 451):
         checkpoints = tuple(range(max(1, x - 29), x + 1))
@@ -342,21 +377,43 @@ def test_pairs_wheel_classes_match_oracle_to_450(monkeypatch):
     assert len(table[::15]) == 50
     assert [q for q in range(3, 13, 2) if table[q // 2] and table[(q + 1488) // 2]] == [5, 11]
     gaps, checkpoints = np.array([1488]), (1492, 1493, 1498, 1499, 1500)
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 1, 2, 2]
-    monkeypatch.setattr("smoothgap.scan._wheel_sum", lambda *args: 0)  # (5, 1493) by lookup
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 1, 1, 1]
+    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 0, 0, 1, 1]
+    # (5, 1493) is the lookup's, with both kernels at 0; 1488 = 2^4 * 3 * 31
+    req = ScanRequest(1500, "pairs", y=31, checkpoints=checkpoints)
+    assert _counts_without_kernels(monkeypatch, req) == _small_q_counts(req)
+
+
+def _counts_without_kernels(monkeypatch, req: ScanRequest) -> list[int]:
+    """count_smooth_gap_pairs's counts with both kernels counting 0."""
+
+    def zeros(table, gaps, checkpoints):
+        return [0] * len(checkpoints)
+
+    monkeypatch.setattr("smoothgap.scan._fft_pair_counts", zeros)
+    monkeypatch.setattr("smoothgap.scan._per_gap_pair_counts", zeros)
+    return [r.count for r in count_smooth_gap_pairs(req).records]
+
+
+def _small_q_counts(req: ScanRequest) -> list[int]:
+    """The oracle's count of the request's pairs with q <= 5 at each checkpoint."""
+    pairs = brute_pairs(req.x_max, req.y, req.include_gap_one)
+    return [sum(q <= 5 and p <= c for q, p in pairs) for c in req.checkpoints]
 
 
 def test_pairs_with_q_3_and_5_are_a_lookup(monkeypatch):
-    # with the wheel part at 0, the even-gap pairs left are (3, 3 + s) and
-    # (5, 5 + s): (3, 5), (3, 7), (5, 7), (3, 11) and (5, 13) for the
-    # 2-smooth gaps 2, 4 and 8
-    table = prime_flags(13)
-    gaps = np.array([2, 4, 8])
-    checkpoints = (4, 5, 7, 10, 11, 13)
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 5, 7]  # and (7, 11), (11, 13)
-    monkeypatch.setattr("smoothgap.scan._wheel_sum", lambda *args: 0)
-    assert _fft_pair_counts(table, gaps, checkpoints) == [0, 1, 3, 3, 4, 5]
+    # with both kernels at 0, the pairs left are those with q <= 5, from one
+    # lookup: (2, 3), (3, 5), (3, 7), (5, 7), (3, 11) and (5, 13) for the
+    # 2-smooth gaps 1, 2, 4 and 8; the kernels count (7, 11) and (11, 13)
+    req = ScanRequest(13, "pairs", y=2, checkpoints=(4, 5, 7, 10, 11, 13))
+    assert _small_q_counts(req) == [1, 2, 4, 4, 5, 6]
+    assert _counts_without_kernels(monkeypatch, req) == [1, 2, 4, 4, 5, 6]
+    table, gaps = prime_flags(13), np.array([2, 4, 8])
+    assert _fft_pair_counts(table, gaps, req.checkpoints) == [0, 0, 0, 0, 1, 2]
+    assert _per_gap_pair_counts(table, gaps, req.checkpoints) == [0, 0, 0, 0, 1, 2]
+    for x in (1, 2, 3, 5, 7, 30, 97, 450):
+        for y, gap_one in ((2, True), (2, False), (3, False), (47, True)):
+            req = ScanRequest(x, "pairs", y=y, checkpoints=tuple(range(1, x + 1)), include_gap_one=gap_one)
+            assert _counts_without_kernels(monkeypatch, req) == _small_q_counts(req), (x, y, gap_one)
 
 
 def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
@@ -373,8 +430,8 @@ def test_pairs_fall_back_to_per_gap_over_fft_budget(monkeypatch):
     # the least even 5-smooth transform length >= 2 * 3,335 - 1; and the 6,497
     # even 47-smooth gaps below x
     assert _fft_length(3_335) == 6_750
-    gaps = _gap_values(req, x - 2)
-    assert len(gaps[gaps % 2 == 0]) == 6_497
+    _, even = _gap_values(req, x - 2)
+    assert len(even) == 6_497
     need = table + FFT_BYTES_PER_POINT * 6_750 + FFT_BYTES_PER_GAP * 6_497
     monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(need))
     count_smooth_gap_pairs(req)
