@@ -234,18 +234,20 @@ def test_search_domain_errors():
             search_min_diameter_difference_smooth(5, 3, budget)
 
 
-# Golden table: the inputs of each admissible search, (k, budget), then its
-# whole result: tuple, node count, proven lower bound and status. The rows up
-# to k = 50 at 10**5 were frozen from the per-candidate kernel that preceded
-# the bitset kernel, the later rows from the kernel that cuts a branch once its
-# open positions cannot fill its slots. That cut kept every tuple and status;
-# the node column holds its counts (k = 18 proved its minimum in 2,142,991
-# nodes before it, in 109,913 since). The test ids name the inputs alone, so a
-# pruning rule that lowers the counts edits the node column and renames no
-# test. The smooth rows, (k, y, budget), follow below. The runs that stop exactly at the budget sit at the proof counts:
-# k = 10 proves its minimum in 1,316 nodes, smooth (12, 11) in 28,405. A run
-# that stops at the budget reports the diameter it was searching as its lower
-# bound. The minima for k = 19..24 are OEIS A008407's.
+# Golden tables: the inputs of each search, (k, budget) for the admissible
+# rows and (k, y, budget) for the smooth ones, then its whole result: tuple,
+# node count, proven lower bound and status. The admissible rows up to k = 50
+# at 10**5 and the smooth rows were frozen from the per-candidate kernel that
+# preceded the bitset kernel, the later admissible rows from the kernel that
+# cuts a branch once its open positions cannot fill its slots. That cut kept
+# every tuple and status; the node column holds its counts (k = 18 proved its
+# minimum in 2,142,991 nodes before it, in 109,913 since). The test ids name
+# the inputs alone, so a pruning rule that lowers the counts edits the node
+# column and renames no test. The runs that stop exactly at the budget sit at
+# the proof counts: k = 10 proves its minimum in 1,316 nodes, smooth (12, 11)
+# in 28,405. A run that stops at the budget reports the diameter it was
+# searching as its lower bound; a certified impossible search has none. The
+# minima for k = 19..24 are OEIS A008407's.
 INCUMBENT_20 = (0, 6, 8, 14, 18, 20, 24, 30, 36, 38, 44, 48, 50, 56, 60, 66, 74, 78, 80, 84)
 INCUMBENT_30 = (
     0, 6, 10, 12, 16, 22, 28, 30, 36, 40, 42, 48, 52, 58, 66, 70, 72, 76, 78, 82, 96, 100,
@@ -318,73 +320,60 @@ ADMISSIBLE_GOLDEN = [
         2_256_782, 100, "proven"),
 ]
 SMOOTH_GOLDEN = [
-    (2, 2, 10**7, (0, 2), 1, "proven"),
-    (2, 3, 10**7, (0, 2), 1, "proven"),
-    (2, 5, 10**7, (0, 2), 1, "proven"),
-    (2, 7, 10**7, (0, 2), 1, "proven"),
-    (2, 11, 10**7, (0, 2), 1, "proven"),
-    (2, 13, 10**7, (0, 2), 1, "proven"),
-    (3, 2, 10**7, None, 0, "impossible"),
-    (3, 3, 10**7, (0, 2, 6), 8, "proven"),
-    (3, 5, 10**7, (0, 2, 6), 8, "proven"),
-    (3, 7, 10**7, (0, 2, 6), 8, "proven"),
-    (3, 11, 10**7, (0, 2, 6), 8, "proven"),
-    (3, 13, 10**7, (0, 2, 6), 8, "proven"),
-    (4, 2, 10**7, None, 0, "impossible"),
-    (4, 3, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (4, 5, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (4, 7, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (4, 11, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (4, 13, 10**7, (0, 2, 6, 8), 17, "proven"),
-    (5, 2, 10**7, None, 0, "impossible"),
-    (5, 3, 10**7, None, 0, "impossible"),
-    (5, 5, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
-    (5, 7, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
-    (5, 11, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
-    (5, 13, 10**7, (0, 2, 6, 8, 12), 39, "proven"),
-    (6, 2, 10**7, None, 0, "impossible"),
-    (6, 3, 10**7, None, 0, "impossible"),
-    (6, 5, 10**7, (0, 4, 6, 10, 12, 16), 71, "proven"),
-    (6, 7, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
-    (6, 11, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
-    (6, 13, 10**7, (0, 4, 6, 10, 12, 16), 114, "proven"),
-    (7, 2, 10**7, None, 0, "impossible"),
-    (7, 3, 10**7, None, 0, "impossible"),
-    (7, 5, 10**7, None, 0, "impossible"),
-    (7, 7, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
-    (7, 11, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
-    (7, 13, 10**7, (0, 2, 6, 8, 12, 18, 20), 314, "proven"),
-    (8, 2, 10**7, None, 0, "impossible"),
-    (8, 3, 10**7, None, 0, "impossible"),
-    (8, 5, 10**7, None, 0, "impossible"),
-    (8, 7, 10**7, (0, 2, 8, 12, 14, 18, 20, 32), 2_105, "proven"),
-    (8, 11, 10**7, (0, 4, 6, 10, 16, 18, 24, 28), 1_206, "proven"),
-    (8, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 1_200, "proven"),
-    (9, 2, 10**7, None, 0, "impossible"),
-    (9, 3, 10**7, None, 0, "impossible"),
-    (9, 5, 10**7, None, 0, "impossible"),
-    (9, 7, 10**7, (0, 6, 12, 18, 20, 30, 36, 48, 60), 23_877, "proven"),
-    (9, 11, 10**7, (0, 2, 8, 12, 14, 18, 20, 30, 32), 3_251, "proven"),
-    (9, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 1_982, "proven"),
-    (12, 11, 10**7, SMOOTH_12_11, 219_275, "proven"),
-    (12, 47, 50, PRIMORIAL_12, 51, "exhausted"),
-    (12, 11, 28_404, PRIMORIAL_12, 28_405, "exhausted"),
-    (12, 11, 219_275, SMOOTH_12_11, 219_275, "proven"),
-    (12, 11, 28_405, SMOOTH_12_11, 28_405, "proven"),
+    (2, 2, 10**7, (0, 2), 1, 2, "proven"),
+    (2, 3, 10**7, (0, 2), 1, 2, "proven"),
+    (2, 5, 10**7, (0, 2), 1, 2, "proven"),
+    (2, 7, 10**7, (0, 2), 1, 2, "proven"),
+    (2, 11, 10**7, (0, 2), 1, 2, "proven"),
+    (2, 13, 10**7, (0, 2), 1, 2, "proven"),
+    (3, 2, 10**7, None, 0, None, "impossible"),
+    (3, 3, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (3, 5, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (3, 7, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (3, 11, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (3, 13, 10**7, (0, 2, 6), 8, 6, "proven"),
+    (4, 2, 10**7, None, 0, None, "impossible"),
+    (4, 3, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (4, 5, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (4, 7, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (4, 11, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (4, 13, 10**7, (0, 2, 6, 8), 17, 8, "proven"),
+    (5, 2, 10**7, None, 0, None, "impossible"),
+    (5, 3, 10**7, None, 0, None, "impossible"),
+    (5, 5, 10**7, (0, 2, 6, 8, 12), 25, 12, "proven"),
+    (5, 7, 10**7, (0, 2, 6, 8, 12), 25, 12, "proven"),
+    (5, 11, 10**7, (0, 2, 6, 8, 12), 25, 12, "proven"),
+    (5, 13, 10**7, (0, 2, 6, 8, 12), 25, 12, "proven"),
+    (6, 2, 10**7, None, 0, None, "impossible"),
+    (6, 3, 10**7, None, 0, None, "impossible"),
+    (6, 5, 10**7, (0, 4, 6, 10, 12, 16), 49, 16, "proven"),
+    (6, 7, 10**7, (0, 4, 6, 10, 12, 16), 86, 16, "proven"),
+    (6, 11, 10**7, (0, 4, 6, 10, 12, 16), 86, 16, "proven"),
+    (6, 13, 10**7, (0, 4, 6, 10, 12, 16), 86, 16, "proven"),
+    (7, 2, 10**7, None, 0, None, "impossible"),
+    (7, 3, 10**7, None, 0, None, "impossible"),
+    (7, 5, 10**7, None, 0, None, "impossible"),
+    (7, 7, 10**7, (0, 2, 6, 8, 12, 18, 20), 174, 20, "proven"),
+    (7, 11, 10**7, (0, 2, 6, 8, 12, 18, 20), 174, 20, "proven"),
+    (7, 13, 10**7, (0, 2, 6, 8, 12, 18, 20), 174, 20, "proven"),
+    (8, 2, 10**7, None, 0, None, "impossible"),
+    (8, 3, 10**7, None, 0, None, "impossible"),
+    (8, 5, 10**7, None, 0, None, "impossible"),
+    (8, 7, 10**7, (0, 2, 8, 12, 14, 18, 20, 32), 1_125, 32, "proven"),
+    (8, 11, 10**7, (0, 4, 6, 10, 16, 18, 24, 28), 680, 28, "proven"),
+    (8, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26), 674, 26, "proven"),
+    (9, 2, 10**7, None, 0, None, "impossible"),
+    (9, 3, 10**7, None, 0, None, "impossible"),
+    (9, 5, 10**7, None, 0, None, "impossible"),
+    (9, 7, 10**7, (0, 6, 12, 18, 20, 30, 36, 48, 60), 8_105, 60, "proven"),
+    (9, 11, 10**7, (0, 2, 8, 12, 14, 18, 20, 30, 32), 1_416, 32, "proven"),
+    (9, 13, 10**7, (0, 2, 6, 8, 12, 18, 20, 26, 30), 828, 30, "proven"),
+    (12, 11, 10**7, SMOOTH_12_11, 28_405, 84, "proven"),
+    (12, 47, 50, PRIMORIAL_12, 51, 24, "exhausted"),
+    (12, 11, 28_404, PRIMORIAL_12, 28_405, 84, "exhausted"),
+    (12, 11, 219_275, SMOOTH_12_11, 28_405, 84, "proven"),
+    (12, 11, 28_405, SMOOTH_12_11, 28_405, 84, "proven"),
 ]
-# The smooth rows still carry the count each was frozen with, which is part of
-# their test ids: CUT_NODES holds the count since the cut for the rows it
-# lowered (none rose), EXHAUSTED_LOWER the lower bound of each run that stops
-# at the budget. Keying these rows by their inputs too, as above, renames all
-# 53 of their tests, so it is left to a change of its own.
-CUT_NODES = {
-    (5, 5, 10**7): 25, (5, 7, 10**7): 25, (5, 11, 10**7): 25, (5, 13, 10**7): 25,
-    (6, 5, 10**7): 49, (6, 7, 10**7): 86, (6, 11, 10**7): 86, (6, 13, 10**7): 86,
-    (7, 7, 10**7): 174, (7, 11, 10**7): 174, (7, 13, 10**7): 174, (8, 7, 10**7): 1_125,
-    (8, 11, 10**7): 680, (8, 13, 10**7): 674, (9, 7, 10**7): 8_105, (9, 11, 10**7): 1_416,
-    (9, 13, 10**7): 828, (12, 11, 10**7): 28_405, (12, 11, 219_275): 28_405,
-}
-EXHAUSTED_LOWER = {(12, 47, 50): 24, (12, 11, 28_404): 84}
 
 
 def _expected(elements, nodes, lower, status):
@@ -409,14 +398,14 @@ def test_admissible_search_golden(k, budget, elements, nodes, lower, status):
     assert search_min_diameter_admissible(k, budget) == expected
 
 
-@pytest.mark.parametrize("k, y, budget, elements, nodes, status", SMOOTH_GOLDEN)
-def test_smooth_search_golden(k, y, budget, elements, nodes, status):
-    inputs = (k, y, budget)
-    assert CUT_NODES.get(inputs, nodes) <= nodes
-    lower = EXHAUSTED_LOWER[inputs] if status == "exhausted" else (
-        None if elements is None else max(elements))
-    result = search_min_diameter_difference_smooth(k, y, budget)
-    assert result == _expected(elements, CUT_NODES.get(inputs, nodes), lower, status)
+@pytest.mark.parametrize(
+    "k, y, budget, elements, nodes, lower, status",
+    SMOOTH_GOLDEN,
+    ids=[f"k{k}-y{y}-b{budget}" for k, y, budget, *_ in SMOOTH_GOLDEN],
+)
+def test_smooth_search_golden(k, y, budget, elements, nodes, lower, status):
+    expected = _expected(elements, nodes, lower, status)
+    assert search_min_diameter_difference_smooth(k, y, budget) == expected
 
 
 def test_kept_position_words_are_charged(monkeypatch):
