@@ -121,13 +121,38 @@ class ScanReport(NamedTuple):
 
 def _gap_values(req: ScanRequest, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The odd and the even y-smooth gaps in [1, limit] ([2, limit] without
-    gap one), each ascending: two int64 arrays."""
+    gap one), each ascending: two int64 arrays. Below y^2 < limit they are
+    enumerated, and from y >= limit every gap is smooth. Between, a gap has
+    at most one prime factor above y, so the gaps that are not smooth are
+    the multiples m * p of the primes p in (y, limit]: a mask of the
+    integers [0, limit] has them struck, one numpy call per m <= limit //
+    (y + 1) over its view of the integers m(2i + 1), against the flags of
+    the odd table of prime_flags(limit) from the first prime above y to
+    limit // m. The mask, the table and both arrays are charged at once."""
     first = 1 if req.include_gap_one else 2
-    if req.y < limit:
+    if req.y * req.y < limit:
         gaps = np.array(smooth_numbers_up_to(req.y, limit), dtype=np.int64)[first - 1 :]
         return gaps[gaps % 2 == 1], gaps[gaps % 2 == 0]
-    check_budget(8 * (limit + 1 - first), f"the smooth gaps to {limit}")  # every gap: no list
-    return tuple(np.arange(a, limit + 1, 2, dtype=np.int64) for a in (2 * first - 1, 2))
+    if req.y >= limit:
+        check_budget(8 * (limit + 1 - first), f"the smooth gaps to {limit}")  # every gap: no list
+        return tuple(np.arange(a, limit + 1, 2, dtype=np.int64) for a in (2 * first - 1, 2))
+    need = limit + 1 + (limit + 1) // 2 + 8 * (limit + 1 - first)
+    check_budget(need, f"the smooth gaps to {limit}, struck from a mask")
+    table = prime_flags(limit)
+    smooth = np.ones(limit + 1, dtype=bool)
+    smooth[:first] = False
+    low = (req.y + 1) // 2  # the flag of the least odd integer above y
+    for m in range(1, limit // (req.y + 1) + 1):
+        high = (limit // m + 1) // 2  # past the flag of limit // m
+        smooth[m :: 2 * m][low:high] &= ~table[low:high]
+    del table
+    out = []
+    for a in (1, 0):
+        gaps = np.flatnonzero(smooth[a::2])  # i, made a + 2i in place
+        gaps *= 2
+        gaps += a
+        out.append(gaps)
+    return tuple(out)
 
 
 def _translate_counts(windows, shifts, ends, m: int | None, first: int):
@@ -237,10 +262,8 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
     checkpoint c, over the even gaps s: the windowed kernel once per gap,
     with shifts (0, s / 2) and ends at the odd integers below c - s + 1,
     over the odd table from flag 3 (the integer 7) as its one window: O(x)
-    per gap. The gaps are dealt round-robin to the runs of _sieve._fold, as
-    many as _sieve._run_count makes of each gap's pass counted as the
-    table's full windows, and no more than the gaps: a table under one
-    window forks nothing."""
+    per gap. The gaps are dealt round-robin to the _per_gap_runs runs of
+    _sieve._fold."""
 
     def count_gaps(run: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(checkpoints), dtype=np.int64)
@@ -249,21 +272,30 @@ def _per_gap_pair_counts(table: np.ndarray, gaps: np.ndarray, checkpoints) -> li
             counts += _translate_counts([(3, table[3:])], (0, s // 2), ends, None, 0)[0]
         return counts
 
-    windows = len(gaps) * (len(table) // _sieve.WINDOW)  # full windows over all the gaps
-    runs = max(1, min(_sieve._run_count(windows), len(gaps)))
+    runs = _per_gap_runs(len(table), len(gaps))
     return [int(n) for n in sum(_sieve._fold(count_gaps, [gaps[i::runs] for i in range(runs)]))]
+
+
+def _per_gap_runs(flags: int, gaps: int) -> int:
+    """How many runs _per_gap_pair_counts folds `gaps` even gaps in over an
+    odd table of `flags` flags: as many as _sieve._run_count makes of each
+    gap's pass counted as the table's full windows, and no more than the
+    gaps. A table under one window forks nothing."""
+    return max(1, min(_sieve._run_count(gaps * (flags // _sieve.WINDOW)), gaps))
 
 
 def _fft_is_cheaper(x: int, gaps: np.ndarray, checkpoints) -> bool:
     """Whether the FFT kernel fits mem_budget() beside the odd table and its
     estimated time is below the per-gap kernel's over the same even gaps,
-    which reads (x + 1 - s) / 2 table bytes per gap s."""
+    which reads (x + 1 - s) / 2 table bytes per gap s, divided among its
+    _per_gap_runs runs. The FFT runs in this process alone."""
     sizes = [_fft_length(((c + 1) // 2 + 14) // 15 + 1) for c in checkpoints]  # class 1 at c
     need = FFT_BYTES_PER_POINT * sizes[-1] + FFT_BYTES_PER_GAP * len(gaps)
     if (x + 1) // 2 + need > mem_budget():
         return False
     fft_cost = FFT_COST_PER_BYTE * sum(n * n.bit_length() for n in sizes)
-    return fft_cost < (len(gaps) * (x + 1) - int(gaps.sum())) // 2
+    per_gap_cost = (len(gaps) * (x + 1) - int(gaps.sum())) // 2
+    return fft_cost < per_gap_cost // _per_gap_runs((x + 1) // 2, len(gaps))
 
 
 def count_smooth_gap_pairs(req: ScanRequest) -> ScanReport:

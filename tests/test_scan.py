@@ -1,5 +1,7 @@
+import bisect
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +36,7 @@ from smoothgap.tuples import IntegerTuple, construct_consecutive_prime_tuple, di
 from tests.oracles import (
     brute_consecutive_count,
     brute_consecutive_pairs,
+    brute_is_smooth,
     brute_pair_count,
     brute_pairs,
     brute_translate_count,
@@ -192,12 +195,62 @@ def test_fft_fit_counts_the_even_gaps(monkeypatch):
     assert not _fft_is_cheaper(x, gaps, (x,))
 
 
-@pytest.mark.parametrize("x, y, fft", [(10**8, 47, True), (2 * 10**8, 47, True), (10**8, 3, False)])
-def test_kernel_choice_at_1e8_by_arithmetic(x, y, fft, monkeypatch):
+KERNEL_CHOICES = [
+    (10**8, 47, 1, True),
+    (2 * 10**8, 47, 1, True),
+    (10**8, 3, 1, False),
+    # the per-gap kernel's estimate is divided among its runs, one per CPU
+    (10**8, 5, 1, True),
+    (10**8, 5, 2, False),
+]
+
+
+@pytest.mark.parametrize(
+    "x, y, cpus, fft", KERNEL_CHOICES, ids=[f"{x}-{y}-{fft}" for x, y, _, fft in KERNEL_CHOICES]
+)
+def test_kernel_choice_at_1e8_by_arithmetic(x, y, cpus, fft, monkeypatch):
     # by the cost model alone: nothing is sieved or transformed
     monkeypatch.delenv("SMOOTHGAP_MEM_BUDGET", raising=False)
+    monkeypatch.setattr("smoothgap._sieve._cpu_count", lambda: cpus)
     _, even = _gap_values(ScanRequest(x, "pairs", y=y), x - 2)
     assert _fft_is_cheaper(x, even, (x,)) == fft
+
+
+def test_gap_values_match_oracle():
+    # every y from 2 to limit + 2: enumerated below y^2 < limit, struck from
+    # a mask up to y < limit, every gap from there on
+    top = 4096
+    # least[n]: the least y >= 2 with n y-smooth, by bisection over the oracle
+    least = np.array([0] + [
+        2 + bisect.bisect_left(range(2, n + 2), True, key=functools.partial(brute_is_smooth, n))
+        for n in range(1, top + 1)
+    ])
+    for limit in (1, 2, 30, 100, 1000, top):
+        for y in range(2, limit + 3):
+            expected = np.flatnonzero(least[: limit + 1] <= y)[1:]  # from 1
+            for gap_one in (True, False):
+                gaps = expected[expected >= (1 if gap_one else 2)]
+                req = ScanRequest(limit + 2, "pairs", y=y, include_gap_one=gap_one)
+                odd, even = _gap_values(req, limit)
+                assert odd.dtype == even.dtype == np.int64
+                assert np.array_equal(odd, gaps[gaps % 2 == 1]), (limit, y, gap_one)
+                assert np.array_equal(even, gaps[gaps % 2 == 0]), (limit, y, gap_one)
+
+
+def test_pairs_with_y_just_below_x_strike_the_rough_gaps(monkeypatch):
+    # y = 999,950 at x = 10^6: the gaps not smooth are the primes 999,953,
+    # 999,959, 999,961, 999,979 and 999,983, which only q = 2 could pair, and
+    # (2, 999,961) is the one pair they take from C(pi(10^6), 2). The budget
+    # fits the FFT and the mask, not the enumeration's 48 bytes per gap.
+    x, y, pi = 10**6, 999_950, 78_498  # pi(10^6), OEIS A006880
+    flags = simple_sieve(x)
+    assert sum(flags) == pi
+    rough = [(q, p) for q in range(x - y) for p in range(q + y + 1, x + 1)
+             if flags[q] and flags[p] and not brute_is_smooth(p - q, y)]
+    assert rough == [(2, 999_961)]
+    monkeypatch.setenv("SMOOTHGAP_MEM_BUDGET", str(30 * 10**6))
+    report = count_smooth_gap_pairs(ScanRequest(x, "pairs", y=y))
+    assert report.records[0].count == math.comb(pi, 2) - len(rough)
 
 
 def _counts_by_kernel(monkeypatch, req: ScanRequest, fft: bool) -> list[int]:
